@@ -3,9 +3,11 @@
 Three implementations: an HTTP client speaking the de-facto
 ``/v1/chat/completions`` JSON protocol, a scripted backend for fully
 offline deterministic tests, and a content-addressed record/replay
-cache that wraps either. All backends accept concurrent ``complete``
-calls. A conforming backend returns exactly ``n_samples`` completions
-or raises; at temperature 0 all samples must be identical.
+cache that wraps either; plus a single-flight wrapper that lets
+identical greedy requests in flight at the same time share one call.
+All backends accept concurrent ``complete`` calls. A conforming backend
+returns exactly ``n_samples`` completions or raises; at temperature 0
+all samples must be identical.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import logging
 import os
 import threading
 import time
+import urllib.parse
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -183,16 +187,115 @@ class ScriptedBackend:
 Transport = Callable[..., tuple[int, Mapping[str, str], str]]
 
 
-def _requests_transport(
-    url: str, body: dict[str, Any], headers: Mapping[str, str], timeout: float
-) -> tuple[int, Mapping[str, str], str]:
-    import requests
+class KeepAliveTransport:
+    """HTTP/1.1 POST of a JSON body over reused ``http.client`` connections.
 
-    try:
-        response = requests.post(url, json=body, headers=dict(headers), timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(f"POST {url} failed: {exc}") from exc
-    return response.status_code, response.headers, response.text
+    Idle connections are kept per origin and lent to one call at a time,
+    so a thread making calls one after another reuses one connection per
+    host. A reused connection that the server has closed is replaced
+    once. Proxies come from ``http_proxy``, ``https_proxy``, ``all_proxy``
+    and ``no_proxy``; HTTPS goes through a ``CONNECT`` tunnel and is
+    verified with ``ssl.create_default_context()``. The standard library
+    modules this needs are imported on first use, which keeps them out of
+    start-up time.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list] = {}
+        self._ssl_context = None
+
+    def __call__(
+        self, url: str, body: dict[str, Any], headers: Mapping[str, str], timeout: float
+    ) -> tuple[int, Mapping[str, str], str]:
+        import http.client
+
+        parts = urllib.parse.urlsplit(url)
+        host = parts.hostname or ""
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        proxy = _environment_proxy(parts.scheme, host)
+        headers = dict(headers)
+        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        if proxy is not None and parts.scheme == "http":
+            target = url
+            headers.update(_proxy_auth(proxy))
+        key = (parts.scheme, host, port, proxy, timeout)
+        payload = json.dumps(body).encode("utf-8")
+
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = self._connect(parts.scheme, host, port, proxy, timeout)
+            try:
+                conn.request("POST", target, body=payload, headers=headers)
+                response = conn.getresponse()
+                text = response.read().decode("utf-8", "replace")
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and isinstance(exc, ConnectionError):
+                    # The server closed the idle connection; try once afresh.
+                    conn, reused = None, False
+                    continue
+                raise TransportError(f"POST {url} failed: {exc}") from exc
+            break
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        return response.status, response.headers, text
+
+    def _connect(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
+        import http.client
+
+        address = (host, port)
+        if proxy is not None:
+            proxy_parts = urllib.parse.urlsplit(proxy)
+            address = (proxy_parts.hostname or "", proxy_parts.port or 80)
+        if scheme != "https":
+            return http.client.HTTPConnection(*address, timeout=timeout)
+        if self._ssl_context is None:
+            import ssl
+
+            self._ssl_context = ssl.create_default_context()
+        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=self._ssl_context)
+        if proxy is not None:
+            conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+        return conn
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
+def _environment_proxy(scheme: str, host: str) -> str | None:
+    """The proxy URL the environment sets for ``scheme``, unless ``host`` bypasses it."""
+    from urllib.request import getproxies, proxy_bypass
+
+    proxies = getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(host):
+        return None
+    return proxy if "://" in proxy else f"http://{proxy}"
+
+
+def _proxy_auth(proxy: str) -> dict[str, str]:
+    parts = urllib.parse.urlsplit(proxy)
+    if parts.username is None:
+        return {}
+    import base64
+
+    user = urllib.parse.unquote(parts.username)
+    password = urllib.parse.unquote(parts.password or "")
+    token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+    return {"Proxy-Authorization": f"Basic {token}"}
 
 
 class HTTPBackend:
@@ -217,8 +320,11 @@ class HTTPBackend:
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout = timeout
         self.max_retries = max_retries
-        self._transport = transport or _requests_transport
+        self._transport = transport or KeepAliveTransport()
         self._sleep = sleeper
+
+    def close(self) -> None:
+        _close(self._transport)
 
     def complete(self, request: CompletionRequest) -> list[Completion]:
         url = f"{self.base_url}/v1/chat/completions"
@@ -308,8 +414,10 @@ class CachingBackend:
     JSON file per request digest holding the full completion list.
     ``record`` reads through and stores misses; ``replay`` serves hits
     only and never touches the inner backend, so replayed runs are fully
-    offline. Writes are serialized and atomic; concurrent readers are
-    safe.
+    offline. Each write goes to a temporary file with a name of its own
+    and is then renamed into place, so concurrent writers, in this
+    process or others sharing the directory, need no lock, and readers
+    see either no entry or a whole one.
     """
 
     def __init__(self, inner: Backend | None, cache_dir: str | Path, mode: str = CACHE_RECORD):
@@ -320,7 +428,6 @@ class CachingBackend:
         self.inner = inner
         self.cache_dir = Path(cache_dir)
         self.mode = mode
-        self._write_lock = threading.Lock()
 
     def _path(self, digest: str) -> Path:
         return self.cache_dir / digest[:2] / f"{digest}.json"
@@ -336,6 +443,9 @@ class CachingBackend:
         completions = self.inner.complete(request)
         self._store(path, request, completions)
         return completions
+
+    def close(self) -> None:
+        _close(self.inner)
 
     @staticmethod
     def _load(path: Path) -> list[Completion]:
@@ -363,11 +473,66 @@ class CachingBackend:
                 for c in completions
             ],
         }
-        with self._write_lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+        try:
+            with tmp.open("x", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
             os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
+class SingleFlightBackend:
+    """Lets identical temperature-0 requests in flight at the same time share one call.
+
+    The first caller of a request (keyed by :func:`cache_key`) calls the
+    inner backend; callers that arrive while it runs wait for its result
+    or its exception. Nothing is kept once the call returns: a later
+    identical request calls the inner backend again, and a failure is
+    never reused. Sampled requests (temperature above 0) always pass
+    straight through, since their completions are meant to differ.
+    """
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self._lock = threading.Lock()
+        self._flights: dict[str, Future] = {}
+
+    def complete(self, request: CompletionRequest) -> list[Completion]:
+        if request.temperature != 0:
+            return self.inner.complete(request)
+        key = cache_key(request)
+        with self._lock:
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = Future()
+        if not leader:
+            return list(flight.result())
+        try:
+            completions = self.inner.complete(request)
+        except BaseException as exc:
+            self._land(key).set_exception(exc)
+            raise
+        self._land(key).set_result(completions)
+        return list(completions)
+
+    def _land(self, key: str) -> Future:
+        # Removed before waiters are woken, so no caller can join a finished flight.
+        with self._lock:
+            return self._flights.pop(key)
+
+    def close(self) -> None:
+        _close(self.inner)
+
+
+def _close(resource: Any) -> None:
+    """Call ``resource.close()`` if it has one."""
+    close = getattr(resource, "close", None)
+    if close is not None:
+        close()
 
 
 def purge_cache(cache_dir: str | Path) -> int:

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -27,6 +27,7 @@ from .backend import (
     CachingBackend,
     HTTPBackend,
     ScriptedBackend,
+    SingleFlightBackend,
     purge_cache,
 )
 from .dataset import FORMATS, Corpus, corpus_stats, load_corpus
@@ -134,16 +135,17 @@ class RunConfig:
         )
 
 
-def build_backend(config: RunConfig) -> Backend:
+def build_backend(config: RunConfig) -> SingleFlightBackend:
+    """The configured backend, with identical concurrent greedy requests coalesced."""
     if config.cache_mode == CACHE_REPLAY:
-        return CachingBackend(None, config.cache_dir, mode=CACHE_REPLAY)
+        return SingleFlightBackend(CachingBackend(None, config.cache_dir, mode=CACHE_REPLAY))
     if config.backend == "scripted":
         inner: Backend = _load_scripted(config.scripts)
     else:
         inner = HTTPBackend(base_url=config.endpoint)
     if config.cache_mode == CACHE_RECORD:
-        return CachingBackend(inner, config.cache_dir, mode=CACHE_RECORD)
-    return inner
+        inner = CachingBackend(inner, config.cache_dir, mode=CACHE_RECORD)
+    return SingleFlightBackend(inner)
 
 
 def _load_scripted(path: str) -> ScriptedBackend:
@@ -159,11 +161,11 @@ def _load_scripted(path: str) -> ScriptedBackend:
 
 
 def _predict_one(
-    instance: MCQInstance, config: RunConfig, backend: Backend
+    instance: MCQInstance, config: RunConfig, backend: Backend, call_pool: Executor
 ) -> tuple[Prediction, dict, bool]:
     strategy = Strategy(config.strategy)
     try:
-        prediction = run_strategy(instance, strategy, backend, config.reasoner_config())
+        prediction = run_strategy(instance, strategy, backend, config.reasoner_config(), call_pool)
         failed = False
     except BackendError:
         # Long batch runs survive per-instance faults: record a degenerate
@@ -182,21 +184,17 @@ def _predict_one(
 
 
 def _run_once(
-    corpus: Corpus, config: RunConfig, backend: Backend
+    corpus: Corpus,
+    config: RunConfig,
+    backend: Backend,
+    instance_pool: Executor,
+    call_pool: Executor,
 ) -> tuple[list[Prediction], list[dict], int]:
-    results: dict[str, tuple[Prediction, dict, bool]] = {}
-    if config.workers == 1:
-        for instance in corpus.instances:
-            results[instance.id] = _predict_one(instance, config, backend)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                instance.id: pool.submit(_predict_one, instance, config, backend)
-                for instance in corpus.instances
-            }
-            for instance_id, future in futures.items():
-                results[instance_id] = future.result()
-    ordered = [results[iid] for iid in sorted(results)]
+    futures = {
+        instance.id: instance_pool.submit(_predict_one, instance, config, backend, call_pool)
+        for instance in corpus.instances
+    }
+    ordered = [futures[iid].result() for iid in sorted(futures)]
     predictions = [r[0] for r in ordered]
     traces = [r[1] for r in ordered]
     failures = sum(1 for r in ordered if r[2])
@@ -241,19 +239,32 @@ def cmd_run(config: RunConfig) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     corpus = load_corpus(config.corpus, format=config.format)
-    backend = build_backend(config)
     fingerprint = config.fingerprint()
 
     reports = []
     first_predictions: list[Prediction] = []
     first_traces: list[dict] = []
     failures = 0
-    for repeat_index in range(config.repeat):
-        predictions, traces, repeat_failures = _run_once(corpus, config, backend)
-        reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
-        if repeat_index == 0:
-            first_predictions, first_traces = predictions, traces
-        failures += repeat_failures
+    # Instances run on one pool, their fanned-out rex_got calls on another:
+    # at most K·m calls per instance, so in-flight calls stay <= workers·K·m.
+    max_m = max((instance.m for instance in corpus.instances), default=1)
+    backend = build_backend(config)
+    instance_pool = ThreadPoolExecutor(max_workers=config.workers)
+    call_pool = ThreadPoolExecutor(max_workers=config.workers * config.k * max_m)
+    try:
+        for repeat_index in range(config.repeat):
+            predictions, traces, repeat_failures = _run_once(
+                corpus, config, backend, instance_pool, call_pool
+            )
+            reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
+            if repeat_index == 0:
+                first_predictions, first_traces = predictions, traces
+            failures += repeat_failures
+    finally:
+        # Instances first: a running instance may still wait on its calls.
+        instance_pool.shutdown(cancel_futures=True)
+        call_pool.shutdown(cancel_futures=True)
+        backend.close()
     report = _average_reports(reports)
 
     out_dir = Path(config.out)

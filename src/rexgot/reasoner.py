@@ -6,14 +6,21 @@ elimination, and the three-step exclusion pipeline that samples K
 reasoning paths, assembles them into a thought graph, and selects the
 answer by voting.
 
-Within one instance the three steps run strictly in order; distinct
-instances may be processed concurrently by callers. With a replay cache
-and fixed config every strategy is a pure function of its inputs.
+Within one instance the three steps of ``rex_got`` run in order, but
+the calls within a step do not wait for each other: since exclusions
+inform and never prune, every step-2 verdict call depends only on its
+path's step-1 sample, and each path's step-3 call only on that path's
+verdicts. They run on a thread pool, so an instance costs three round
+trips instead of 1 + K·(m+1). Distinct instances may be processed
+concurrently by callers. Results do not depend on the order in which
+calls finish: with a replay cache and fixed config every strategy is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -327,15 +334,21 @@ def run_step2(
     """
     verdicts: dict[int, OptionVerdict] = {}
     for i in range(instance.m):
-        prompt = render_prompt(
-            instance,
-            PromptKind.STEP2_VERDICT,
-            a1=a1.raw_text,
-            option_index=i,
-            max_prompt_tokens=config.max_prompt_tokens,
-        )
+        prompt = _verdict_prompt(instance, a1, i, config)
         verdicts[i] = _verdict_with_retry(prompt, i, instance.id, backend, config)
     return verdicts
+
+
+def _verdict_prompt(
+    instance: MCQInstance, a1: ExclusionResult, option_index: int, config: ReasonerConfig
+) -> str:
+    return render_prompt(
+        instance,
+        PromptKind.STEP2_VERDICT,
+        a1=a1.raw_text,
+        option_index=option_index,
+        max_prompt_tokens=config.max_prompt_tokens,
+    )
 
 
 def _verdict_with_retry(
@@ -373,14 +386,32 @@ def run_step3(
     """
     if set(a2) != set(range(instance.m)):
         raise ValueError("step 3 needs one verdict per option")
-    a2_texts = {i: v.raw_text for i, v in a2.items()}
-    prompt = render_prompt(
+    return _combine(_combine_prompt(instance, a1, a2, config), instance, a1, a2, backend, config)
+
+
+def _combine_prompt(
+    instance: MCQInstance,
+    a1: ExclusionResult,
+    a2: Mapping[int, OptionVerdict],
+    config: ReasonerConfig,
+) -> str:
+    return render_prompt(
         instance,
         PromptKind.STEP3_COMBINE,
         a1=a1.raw_text,
-        a2=a2_texts,
+        a2={i: v.raw_text for i, v in a2.items()},
         max_prompt_tokens=config.max_prompt_tokens,
     )
+
+
+def _combine(
+    prompt: str,
+    instance: MCQInstance,
+    a1: ExclusionResult,
+    a2: Mapping[int, OptionVerdict],
+    backend: Backend,
+    config: ReasonerConfig,
+) -> tuple[frozenset[int], bool]:
     for attempt in range(2):
         text = _complete(
             backend, _request(prompt, config, 1, config.temperature_step3), instance.id
@@ -478,8 +509,16 @@ def run_strategy(
     strategy: Strategy,
     backend: Backend,
     config: ReasonerConfig | None = None,
+    pool: Executor | None = None,
 ) -> Prediction:
-    """Produce a prediction for one instance under the given strategy."""
+    """Produce a prediction for one instance under the given strategy.
+
+    ``rex_got`` runs its step-2 and step-3 calls on ``pool``, a thread
+    pool whose tasks never wait on each other; one instance keeps at
+    most K·m calls in flight. Without a pool, one that wide is created
+    for the call. The other strategies make every call on the calling
+    thread.
+    """
     config = config or ReasonerConfig()
     if strategy is Strategy.STANDARD:
         return _single_shot(instance, PromptKind.STANDARD, strategy, backend, config)
@@ -489,12 +528,52 @@ def run_strategy(
         return _pick_loop(instance, PromptKind.FORWARD_PICK, strategy, backend, config)
     if strategy is Strategy.BACKWARD:
         return _pick_loop(instance, PromptKind.BACKWARD_PICK, strategy, backend, config)
+    if pool is None:
+        with ThreadPoolExecutor(max_workers=config.k * instance.m) as own_pool:
+            return _rex_got(instance, backend, config, own_pool)
+    return _rex_got(instance, backend, config, pool)
 
+
+def _rex_got(
+    instance: MCQInstance, backend: Backend, config: ReasonerConfig, pool: Executor
+) -> Prediction:
     exclusions = run_step1(instance, backend, config)
+    verdicts: list[dict[int, OptionVerdict]] = [{} for _ in exclusions]
+    combined: dict[int, tuple[frozenset[int], bool]] = {}
+    # Each pending call maps to (path id, option index), or (path id, None) for step 3.
+    pending: dict[Future, tuple[int, int | None]] = {}
+    try:
+        for path_id, a1 in enumerate(exclusions):
+            for i in range(instance.m):
+                prompt = _verdict_prompt(instance, a1, i, config)
+                future = pool.submit(_verdict_with_retry, prompt, i, instance.id, backend, config)
+                pending[future] = (path_id, i)
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                path_id, i = pending.pop(future)
+                if i is None:
+                    combined[path_id] = future.result()
+                    continue
+                verdicts[path_id][i] = future.result()
+                if len(verdicts[path_id]) == instance.m:
+                    # Rendered on this thread, not on the pool: many pool threads
+                    # rendering at once raised peak memory. Verdicts go in option order.
+                    a1 = exclusions[path_id]
+                    a2 = verdicts[path_id] = dict(sorted(verdicts[path_id].items()))
+                    prompt = _combine_prompt(instance, a1, a2, config)
+                    future = pool.submit(_combine, prompt, instance, a1, a2, backend, config)
+                    pending[future] = (path_id, None)
+    finally:
+        # On failure, no call of this instance may outlive it.
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
     paths = []
     for path_id, a1 in enumerate(exclusions):
-        a2 = run_step2(instance, a1, backend, config)
-        a3, step3_fallback = run_step3(instance, a1, a2, backend, config)
+        a2 = verdicts[path_id]
+        a3, step3_fallback = combined[path_id]
         degenerate = (
             a1.parse_failed
             or any(v.verdict is Verdict.ABSTAIN for v in a2.values())
@@ -504,7 +583,7 @@ def run_strategy(
     chosen, tally, rescued = _tally_and_choose(paths, config.vote_policy)
     return Prediction(
         instance_id=instance.id,
-        strategy=strategy,
+        strategy=Strategy.REX_GOT,
         chosen=chosen,
         paths=tuple(paths),
         vote_tally=tally,

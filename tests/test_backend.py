@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from rexgot.backend import (
     AuthError,
+    BackendError,
     CachingBackend,
     Completion,
     CompletionRequest,
@@ -17,6 +20,7 @@ from rexgot.backend import (
     ReplayMiss,
     ScriptedBackend,
     ScriptMiss,
+    SingleFlightBackend,
     TransportError,
     cache_key,
     purge_cache,
@@ -303,3 +307,118 @@ def test_purge_cache(tmp_path):
     recorder.complete(request(prompt="b"))
     assert purge_cache(cache_dir) == 2
     assert purge_cache(cache_dir) == 0
+
+
+def test_cache_writers_sharing_a_directory_need_no_lock(tmp_path):
+    cache_dir = tmp_path / "cache"
+    backends = [CachingBackend(CountingBackend(), cache_dir, mode="record") for _ in range(2)]
+    requests = [request(prompt=f"p{i}") for i in range(4)]
+    start = threading.Barrier(16)
+    errors = []
+
+    def writer(i):
+        backend, req = backends[i // 4 % 2], requests[i % 4]
+        start.wait(timeout=10)
+        try:
+            for _ in range(20):
+                backend._store(backend._path(cache_key(req)), req, [Completion(text=f"w{i}")])
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    replayer = CachingBackend(None, cache_dir, mode="replay")
+    for i, req in enumerate(requests):
+        texts = {c.text for c in replayer.complete(req)}
+        assert texts <= {f"w{j}" for j in range(i, 16, 4)}
+    assert list(cache_dir.rglob("*.tmp")) == []
+
+
+class GatedBackend:
+    """Counts calls and holds each one until ``gate`` is set."""
+
+    def __init__(self, error=None):
+        self.gate = threading.Event()
+        self.calls = 0
+        self.error = error
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        assert self.gate.wait(timeout=10)
+        if self.error is not None:
+            raise self.error
+        return [Completion(text=f"call {call}")] * req.n_samples
+
+
+def run_threads(backend, req, n):
+    """Start n threads calling ``backend.complete(req)``; returns (threads, results)."""
+    results = [None] * n
+
+    def caller(i):
+        try:
+            results[i] = backend.complete(req)
+        except BackendError as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    return threads, results
+
+
+def join_all(threads):
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_single_flight_coalesces_identical_greedy_requests():
+    inner = GatedBackend()
+    backend = SingleFlightBackend(inner)
+    threads, results = run_threads(backend, request(), 8)
+    time.sleep(0.3)  # every caller joins the one flight before it lands
+    inner.gate.set()
+    join_all(threads)
+    assert inner.calls == 1
+    assert all(r == [Completion(text="call 1")] for r in results)
+    assert backend.complete(request()) == [Completion(text="call 2")]  # nothing is kept
+
+
+def test_single_flight_never_coalesces_sampled_requests():
+    inner = GatedBackend()
+    backend = SingleFlightBackend(inner)
+    threads, results = run_threads(backend, request(temperature=0.7), 6)
+    deadline = time.monotonic() + 10
+    while inner.calls < 6 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    inner.gate.set()
+    join_all(threads)
+    assert inner.calls == 6
+    assert sorted(r[0].text for r in results) == [f"call {i}" for i in range(1, 7)]
+
+
+def test_single_flight_error_reaches_every_waiter_and_is_not_kept():
+    inner = GatedBackend(error=TransportError("down"))
+    backend = SingleFlightBackend(inner)
+    threads, results = run_threads(backend, request(), 5)
+    time.sleep(0.3)
+    inner.gate.set()
+    join_all(threads)
+    assert inner.calls == 1
+    assert all(isinstance(r, TransportError) for r in results)
+    inner.error = None
+    assert backend.complete(request()) == [Completion(text="call 2")]
+    assert inner.calls == 2

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,11 +16,12 @@ from conftest import (
     make_instance,
     scripted_rex_backend,
 )
-from rexgot.backend import ScriptedBackend
+from rexgot.backend import ScriptedBackend, TransportError
 from rexgot.model import Strategy
 from rexgot.parsing import ExclusionResult, OptionVerdict, Verdict
 from rexgot.prompts import PromptKind, render_prompt
 from rexgot.reasoner import (
+    InstanceBackendError,
     NodeKind,
     NoPaths,
     ReasonerConfig,
@@ -448,3 +454,114 @@ def test_trace_document_shape(bob_movie_instance):
     assert trace["chosen_labels"] == ["A", "B", "E"]
     assert len(trace["paths"]) == 2
     assert len(trace["graph"]["nodes"]) == 1 + 5 + 2 * 7
+
+
+# --- fan-out of the rex_got calls ------------------------------------------
+
+
+class SleepyBackend:
+    """Delays each call by ``delay(prompt)`` seconds and records peak concurrency."""
+
+    def __init__(self, inner, delay, fail_prompt=None):
+        self.inner = inner
+        self.delay = delay
+        self.fail_prompt = fail_prompt
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if request.prompt == self.fail_prompt:
+                raise TransportError("injected failure")
+            time.sleep(self.delay(request.prompt))
+            return self.inner.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def prompt_rank(prompt):
+    return int(hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:8], 16) % 8
+
+
+SECOND_EXCLUSION_TEXT = "Option A does not fit what Bob said.\nExcluded: A"
+
+
+def two_exclusion_backend(instance):
+    """Step 1 samples two different exclusion texts (cycling over K paths);
+    the second path gets one unparseable verdict, so it abstains once."""
+    backend = ScriptedBackend()
+    a1_texts = [BOB_EXCLUSION_TEXT, SECOND_EXCLUSION_TEXT]
+    backend.register_script(
+        responses=a1_texts, prompt=render_prompt(instance, PromptKind.STEP1_EXCLUSION)
+    )
+    for p, a1 in enumerate(a1_texts):
+        verdicts = dict(BOB_VERDICT_TEXTS)
+        if p == 1:
+            verdicts[0] = "A clashes with the office story.\nVerdict: unreasonable"
+            verdicts[4] = "hard to say"
+        for i, text in verdicts.items():
+            backend.register_script(
+                responses=[text],
+                prompt=render_prompt(instance, PromptKind.STEP2_VERDICT, a1=a1, option_index=i),
+            )
+        backend.register_script(
+            responses=[BOB_COMBINE_TEXT if p == 0 else "Answer: B"],
+            prompt=render_prompt(instance, PromptKind.STEP3_COMBINE, a1=a1, a2=verdicts),
+        )
+    return backend
+
+
+def test_rex_got_fan_out_result_independent_of_completion_order(bob_movie_instance):
+    config = ReasonerConfig(k=3)
+    k, m = config.k, bob_movie_instance.m
+    results = []
+    for delay in (lambda p: prompt_rank(p) * 0.002, lambda p: (7 - prompt_rank(p)) * 0.002):
+        backend = SleepyBackend(two_exclusion_backend(bob_movie_instance), delay)
+        prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config)
+        assert 1 < backend.peak <= k * m
+        assert backend.calls == 1 + k * m + 1 + k  # path 1 retries its one bad verdict
+        graph = build_graph(bob_movie_instance, prediction.paths)
+        results.append((prediction, build_trace(bob_movie_instance, prediction, graph)))
+    (first, first_trace), (second, second_trace) = results
+    assert first == second
+    assert first.paths == second.paths
+    assert [p.path_id for p in first.paths] == [0, 1, 2]
+    assert first.vote_tally == second.vote_tally == {0: 2, 1: 2, 2: 0, 3: 0, 4: 2}
+    assert first_trace == second_trace
+    assert [p.degenerate for p in first.paths] == [False, True, False]
+
+
+def test_rex_got_fan_out_stays_within_k_times_m_on_a_shared_pool(bob_movie_instance):
+    config = ReasonerConfig(k=3)
+    backend = SleepyBackend(two_exclusion_backend(bob_movie_instance), lambda p: 0.01)
+    with ThreadPoolExecutor(max_workers=64) as pool:
+        prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config, pool)
+    assert prediction.chosen == frozenset({0, 1, 4})
+    assert 1 < backend.peak <= config.k * bob_movie_instance.m
+
+
+def test_rex_got_step2_failure_surfaces_and_leaves_no_call_running(bob_movie_instance):
+    config = ReasonerConfig(k=3)
+    failing = render_prompt(
+        bob_movie_instance, PromptKind.STEP2_VERDICT, a1=BOB_EXCLUSION_TEXT, option_index=0
+    )
+    backend = SleepyBackend(
+        scripted_rex_backend(bob_movie_instance), lambda p: 0.05, fail_prompt=failing
+    )
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(InstanceBackendError) as info:
+            run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config, pool)
+        assert backend.in_flight == 0
+        calls_at_return = backend.calls
+        time.sleep(0.1)
+        assert backend.calls == calls_at_return  # queued calls were cancelled
+    assert info.value.instance_id == bob_movie_instance.id
+    assert isinstance(info.value.cause, TransportError)
+    assert calls_at_return < 1 + config.k * bob_movie_instance.m

@@ -1,0 +1,251 @@
+"""The HTTP backend's keep-alive transport against a local ``ThreadingHTTPServer``."""
+
+from __future__ import annotations
+
+import base64
+import json
+import os
+import socket
+import subprocess
+import sys
+import textwrap
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+import pytest
+
+import rexgot
+from rexgot.backend import CompletionRequest, HTTPBackend, RateLimited, TransportError
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def chat_body(text: str) -> bytes:
+    return json.dumps(
+        {"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}
+    ).encode("utf-8")
+
+
+class Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: "Server"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def log_message(self, format, *args):  # noqa: A002 - signature from the base class
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.paths.append(self.path)
+            self.server.proxy_auth.append(self.headers.get("Proxy-Authorization"))
+            status, headers, body = (
+                self.server.replies.pop(0) if self.server.replies else (200, {}, chat_body("ok"))
+            )
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        # Close without a "Connection: close" header, as an idle timeout would.
+        self.close_connection = self.server.drop_after_reply
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.paths.append(f"CONNECT {self.path}")
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+
+class Server(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.paths: list[str] = []
+        self.proxy_auth: list[str | None] = []
+        self.replies: list[tuple[int, dict, bytes]] = []
+        self.drop_after_reply = False
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture(autouse=True)
+def no_proxy_environment(monkeypatch):
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def server():
+    srv = Server()
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+
+
+def request(prompt="hi"):
+    return CompletionRequest(prompt=prompt)
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_sequential_calls_share_one_connection(server):
+    backend = HTTPBackend(server.url, timeout=10)
+    try:
+        for i in range(3):
+            assert backend.complete(request(f"p{i}"))[0].text == "ok"
+    finally:
+        backend.close()
+    assert server.connections == 1
+    assert server.paths == ["/v1/chat/completions"] * 3
+
+
+def test_reconnects_once_after_server_closed_idle_connection(server):
+    server.drop_after_reply = True
+    backend = HTTPBackend(server.url, timeout=10, max_retries=0)
+    try:
+        for i in range(3):
+            assert backend.complete(request(f"p{i}"))[0].text == "ok"
+    finally:
+        backend.close()
+    assert server.connections == 3
+    assert len(server.paths) == 3
+
+
+@pytest.mark.parametrize("header", ["Retry-After", "retry-after", "RETRY-AFTER"])
+def test_429_retry_after_in_any_case_is_rate_limited(server, header):
+    server.replies = [(429, {header: "7"}, b""), (200, {}, chat_body("later"))]
+    sleeps = []
+    backend = HTTPBackend(server.url, timeout=10, sleeper=sleeps.append)
+    try:
+        assert backend.complete(request())[0].text == "later"
+    finally:
+        backend.close()
+    assert sleeps == [7.0]
+
+    server.replies = [(429, {header: "3"}, b"")]
+    backend = HTTPBackend(server.url, timeout=10, max_retries=0)
+    try:
+        with pytest.raises(RateLimited) as info:
+            backend.complete(request())
+    finally:
+        backend.close()
+    assert info.value.after == 3.0
+
+
+def test_5xx_is_transport_error(server):
+    server.replies = [(503, {}, b"busy")]
+    backend = HTTPBackend(server.url, timeout=10, max_retries=0)
+    try:
+        with pytest.raises(TransportError, match="503"):
+            backend.complete(request())
+    finally:
+        backend.close()
+
+
+def test_refused_connection_is_transport_error():
+    backend = HTTPBackend(f"http://127.0.0.1:{closed_port()}", timeout=10, max_retries=0)
+    with pytest.raises(TransportError):
+        backend.complete(request())
+
+
+@pytest.mark.parametrize("variable", ["http_proxy", "all_proxy"])
+def test_http_proxy_gets_absolute_request_uri(server, monkeypatch, variable):
+    monkeypatch.setenv(variable, server.url.replace("http://", "http://user:p%40ss@"))
+    backend = HTTPBackend("http://api.example.test:8080", timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request())[0].text == "ok"
+    finally:
+        backend.close()
+    assert server.paths == ["http://api.example.test:8080/v1/chat/completions"]
+    assert server.proxy_auth == ["Basic " + base64.b64encode(b"user:p@ss").decode("ascii")]
+
+
+def test_no_proxy_bypasses_the_proxy(server, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port()}")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    backend = HTTPBackend(server.url, timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request())[0].text == "ok"
+    finally:
+        backend.close()
+    assert server.paths == ["/v1/chat/completions"]
+
+
+def test_https_goes_through_a_connect_tunnel(server, monkeypatch):
+    monkeypatch.setenv("https_proxy", server.url)
+    backend = HTTPBackend("https://api.example.test", timeout=10, max_retries=0)
+    with pytest.raises(TransportError):
+        backend.complete(request())
+    assert server.paths == ["CONNECT api.example.test:443"]
+
+
+def test_http_run_does_not_import_requests(tmp_path):
+    script = textwrap.dedent(
+        """
+        import json, sys, threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.dumps({"choices": [{"message": {"content": "Answer: A"}}]})
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body.encode())
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        from rexgot.cli import main
+
+        code = main(["run", "--corpus", sys.argv[1], "--strategy", "standard",
+                     "--backend", "http", "--endpoint",
+                     f"http://127.0.0.1:{server.server_address[1]}", "--out", sys.argv[2]])
+        server.shutdown()
+        print(json.dumps({"code": code, "requests": "requests" in sys.modules}))
+        """
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps(
+            {"id": "q1", "dialogue": [{"speaker": "A", "text": "hello"}], "target_index": 0,
+             "question": "Why?", "options": ["one", "two"], "answers": [0]}
+        )
+        + "\n",
+        "utf-8",
+    )
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(Path(rexgot.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "requests": False}
