@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 import urllib.parse
@@ -107,8 +108,8 @@ class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> list[Completion]: ...
 
 
-def _canonical_request(request: CompletionRequest) -> bytes:
-    payload = {
+def _request_fields(request: CompletionRequest) -> dict[str, Any]:
+    return {
         "prompt": request.prompt,
         "n_samples": request.n_samples,
         "temperature": request.temperature,
@@ -116,14 +117,26 @@ def _canonical_request(request: CompletionRequest) -> bytes:
         "model_name": request.model_name,
         "stop_sequences": list(request.stop_sequences),
     }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":")).encode(
-        "ascii"
-    )
+
+
+def _canonical_request(request: CompletionRequest) -> bytes:
+    return json.dumps(
+        _request_fields(request), sort_keys=True, ensure_ascii=True, separators=(",", ":")
+    ).encode("ascii")
 
 
 def cache_key(request: CompletionRequest) -> str:
-    """Deterministic content digest over all request fields."""
-    return hashlib.sha256(_canonical_request(request)).hexdigest()
+    """Deterministic content digest over all request fields.
+
+    It is computed once per request object and kept on it, outside the
+    dataclass fields, so equality and hashing are unchanged: the
+    single-flight and the caching layer key the same request.
+    """
+    key = getattr(request, "_cache_key", None)
+    if key is None:
+        key = hashlib.sha256(_canonical_request(request)).hexdigest()
+        object.__setattr__(request, "_cache_key", key)
+    return key
 
 
 def prompt_digest(prompt: str) -> str:
@@ -188,65 +201,93 @@ Transport = Callable[..., tuple[int, Mapping[str, str], str]]
 
 
 class KeepAliveTransport:
-    """HTTP/1.1 POST of a JSON body over reused ``http.client`` connections.
+    """HTTP/1.1 POST of a JSON body over reused sockets, framed by hand.
 
     Idle connections are kept per origin and lent to one call at a time,
     so a thread making calls one after another reuses one connection per
     host. A reused connection that the server has closed is replaced
-    once. Proxies come from ``http_proxy``, ``https_proxy``, ``all_proxy``
-    and ``no_proxy``; HTTPS goes through a ``CONNECT`` tunnel and is
-    verified with ``ssl.create_default_context()``. The standard library
-    modules this needs are imported on first use, which keeps them out of
-    start-up time.
+    once. ``http.client`` only connects: it sets ``TCP_NODELAY``, opens
+    the proxy ``CONNECT`` tunnel for HTTPS and does TLS, verified with
+    ``ssl.create_default_context()``. Each request then goes out as one
+    message, and the response is read straight off the socket: its body
+    is delimited by ``Content-Length``, by chunked transfer coding, or by
+    the server closing the connection, which is then not reused; a body
+    cut short is a :class:`TransportError`, never a shorter text. A
+    connection goes back to the idle pool only after an HTTP/1.1
+    response without ``Connection: close``. Proxies come from
+    ``http_proxy``, ``https_proxy``, ``all_proxy`` and ``no_proxy``, read
+    at the first call to each origin. The standard library modules this
+    needs are imported on first use, which keeps them out of start-up
+    time.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._idle: dict[tuple, list] = {}
+        self._proxies: dict[tuple[str, str], str | None] = {}
         self._ssl_context = None
 
     def __call__(
         self, url: str, body: dict[str, Any], headers: Mapping[str, str], timeout: float
     ) -> tuple[int, Mapping[str, str], str]:
-        import http.client
-
         parts = urllib.parse.urlsplit(url)
-        host = parts.hostname or ""
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-        proxy = _environment_proxy(parts.scheme, host)
-        headers = dict(headers)
+        scheme, host = parts.scheme, parts.hostname or ""
+        default_port = 443 if scheme == "https" else 80
+        port = parts.port or default_port
+        proxy = self._proxy(scheme, host)
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        if proxy is not None and parts.scheme == "http":
+        headers = dict(headers)
+        if proxy is not None and scheme == "http":
             target = url
             headers.update(_proxy_auth(proxy))
-        key = (parts.scheme, host, port, proxy, timeout)
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        if fields.count("\n") != len(headers) or fields.count("\r") != len(headers):
+            raise ValueError("header names and values must not contain CR or LF")
+        if _URL_UNSAFE.search(target):
+            raise ValueError(f"URL must not contain spaces or control characters: {url!r}")
         payload = json.dumps(body).encode("utf-8")
+        message = (
+            f"POST {target} HTTP/1.1\r\n".encode("ascii")
+            + (
+                f"Host: {_host_header(host, port, default_port)}\r\n"
+                f"Accept-Encoding: identity\r\nContent-Length: {len(payload)}\r\n"
+                f"{fields}\r\n"
+            ).encode("latin-1")
+            + payload
+        )
+        key = (scheme, host, port, proxy, timeout)
 
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
         reused = conn is not None
         while True:
-            if conn is None:
-                conn = self._connect(parts.scheme, host, port, proxy, timeout)
             try:
-                conn.request("POST", target, body=payload, headers=headers)
-                response = conn.getresponse()
-                text = response.read().decode("utf-8", "replace")
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
+                if conn is None:
+                    conn = self._connect(scheme, host, port, proxy, timeout)
+                conn.sock.sendall(message)
+                status, response_headers, raw, keep = _read_response(conn.sock)
+            except (OSError, TransportError) as exc:
+                if conn is not None:
+                    conn.close()
                 if reused and isinstance(exc, ConnectionError):
                     # The server closed the idle connection; try once afresh.
                     conn, reused = None, False
                     continue
                 raise TransportError(f"POST {url} failed: {exc}") from exc
             break
-        if response.will_close:
-            conn.close()
-        else:
+        if keep:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return response.status, response.headers, text
+        else:
+            conn.close()
+        return status, response_headers, raw.decode("utf-8", "replace")
+
+    def _proxy(self, scheme: str, host: str) -> str | None:
+        origin = (scheme, host)
+        if origin not in self._proxies:
+            self._proxies[origin] = _environment_proxy(scheme, host)
+        return self._proxies[origin]
 
     def _connect(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
         import http.client
@@ -256,14 +297,25 @@ class KeepAliveTransport:
             proxy_parts = urllib.parse.urlsplit(proxy)
             address = (proxy_parts.hostname or "", proxy_parts.port or 80)
         if scheme != "https":
-            return http.client.HTTPConnection(*address, timeout=timeout)
-        if self._ssl_context is None:
-            import ssl
+            conn = http.client.HTTPConnection(*address, timeout=timeout)
+        else:
+            if self._ssl_context is None:
+                import ssl
 
-            self._ssl_context = ssl.create_default_context()
-        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=self._ssl_context)
-        if proxy is not None:
-            conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+                self._ssl_context = ssl.create_default_context()
+            conn = http.client.HTTPSConnection(
+                *address, timeout=timeout, context=self._ssl_context
+            )
+            if proxy is not None:
+                conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+        try:
+            conn.connect()
+        except http.client.HTTPException as exc:
+            conn.close()
+            raise TransportError(f"no connection: {exc!r}") from exc
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     def close(self) -> None:
@@ -273,6 +325,156 @@ class KeepAliveTransport:
         for conns in idle.values():
             for conn in conns:
                 conn.close()
+
+
+_RECV_BYTES = 4096  # first read of a response; a body is then read by its length
+_MAX_RECV_BYTES = 65536
+_MAX_HEAD_BYTES = 65536
+_URL_UNSAFE = re.compile(r"[\x00-\x20\x7f]")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS_LINE = re.compile(r"HTTP/(\d\.\d) (\d{3})(?: .*)?\r?")
+_CHUNK_SIZE = re.compile(rb"([0-9a-fA-F]+)[ \t]*(?:;.*)?\r?\n")
+
+
+class _Headers(dict):
+    """Response headers whose names match in any case."""
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and super().__contains__(name.lower())
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return super().get(name.lower(), default)
+
+
+class _Reader:
+    """Buffered reads of HTTP responses from one socket."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.buffer = bytearray()
+
+    def _fill(self, size: int = _RECV_BYTES) -> bool:
+        data = self._sock.recv(size)
+        self.buffer += data
+        return bool(data)
+
+    def head(self) -> list[str] | None:
+        """The lines of the next response head; None if the server closed before it."""
+        while (end := _HEAD_END.search(self.buffer)) is None:
+            if len(self.buffer) > _MAX_HEAD_BYTES:
+                raise TransportError("response head too long")
+            if not self._fill():
+                if self.buffer:
+                    raise TransportError("connection closed inside the response head")
+                return None
+        head = self.buffer[: end.start()].decode("latin-1")
+        del self.buffer[: end.end()]
+        return head.split("\n")
+
+    def line(self) -> bytes:
+        while (end := self.buffer.find(b"\n")) < 0:
+            if len(self.buffer) > _MAX_HEAD_BYTES:
+                raise TransportError("response line too long")
+            if not self._fill():
+                raise TransportError("connection closed inside a chunked body")
+        line = bytes(self.buffer[: end + 1])
+        del self.buffer[: end + 1]
+        return line
+
+    def take(self, size: int) -> bytes:
+        while len(self.buffer) < size:
+            # Ask for what is missing, so no receive buffer is larger than the body.
+            if not self._fill(min(size - len(self.buffer), _MAX_RECV_BYTES)):
+                raise TransportError(
+                    f"connection closed after {len(self.buffer)} of {size} body bytes"
+                )
+        data = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        return data
+
+    def rest(self) -> bytes:
+        while self._fill():
+            pass
+        data = bytes(self.buffer)
+        self.buffer.clear()
+        return data
+
+    def chunked(self) -> bytes:
+        parts = []
+        while True:
+            line = self.line()
+            match = _CHUNK_SIZE.fullmatch(line)
+            if match is None:
+                raise TransportError(f"bad chunk size line {line[:40]!r}")
+            size = int(match.group(1), 16)
+            if size == 0:
+                break
+            parts.append(self.take(size))
+            if self.line().rstrip(b"\r\n"):
+                raise TransportError("chunk data longer than its size")
+        while self.line().rstrip(b"\r\n"):  # trailer fields, up to the blank line
+            pass
+        return b"".join(parts)
+
+
+def _read_response(sock) -> tuple[int, _Headers, bytes, bool]:
+    """One response from ``sock``: status, headers, body and whether ``sock`` may be reused.
+
+    Raises :class:`ConnectionResetError` when the server closes the
+    connection before the first byte of a response, and
+    :class:`TransportError` for any other response that is malformed or
+    cut short.
+    """
+    reader = _Reader(sock)
+    lines = reader.head()
+    if lines is None:
+        raise ConnectionResetError("server closed the connection without a response")
+    while True:
+        match = _STATUS_LINE.fullmatch(lines[0])
+        if match is None:
+            raise TransportError(f"malformed status line {lines[0][:80]!r}")
+        status = int(match.group(2))
+        if status >= 200:
+            break
+        lines = reader.head()  # an interim response; the final one follows
+        if lines is None:
+            raise TransportError("connection closed after an interim response")
+    headers = _Headers()
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise TransportError(f"malformed header line {line[:80]!r}")
+        headers.setdefault(name.strip().lower(), value.strip())
+    connection = headers.get("connection", "").lower().split(",")
+    keep = match.group(1) == "1.1" and "close" not in (token.strip() for token in connection)
+    encoding = headers.get("transfer-encoding")
+    length = headers.get("content-length")
+    if status in (204, 304):
+        body = b""
+    elif encoding is not None:
+        if encoding.lower().rsplit(",", 1)[-1].strip() == "chunked":
+            body = reader.chunked()
+        else:
+            body, keep = reader.rest(), False
+    elif length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise TransportError(f"bad Content-Length {length[:40]!r}")
+        body = reader.take(int(length))
+    else:
+        body, keep = reader.rest(), False
+    # Bytes past the response were never asked for; the connection is out of step.
+    return status, headers, body, keep and not reader.buffer
+
+
+def _host_header(host: str, port: int, default_port: int) -> str:
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    if ":" in host:
+        host = f"[{host}]"
+    return host if port == default_port else f"{host}:{port}"
 
 
 def _environment_proxy(scheme: str, host: str) -> str | None:
@@ -405,6 +607,7 @@ CACHE_OFF = "off"
 CACHE_RECORD = "record"
 CACHE_REPLAY = "replay"
 CACHE_MODES = (CACHE_OFF, CACHE_RECORD, CACHE_REPLAY)
+_READ_BYTES = 65536
 
 
 class CachingBackend:
@@ -435,8 +638,9 @@ class CachingBackend:
     def complete(self, request: CompletionRequest) -> list[Completion]:
         digest = cache_key(request)
         path = self._path(digest)
-        if path.exists():
-            return self._load(path)
+        completions = self._load(path)
+        if completions is not None:
+            return completions
         if self.mode == CACHE_REPLAY:
             raise ReplayMiss(f"no cached completion for digest {digest}")
         assert self.inner is not None
@@ -448,8 +652,19 @@ class CachingBackend:
         _close(self.inner)
 
     @staticmethod
-    def _load(path: Path) -> list[Completion]:
-        payload = json.loads(path.read_text("utf-8"))
+    def _load(path: Path) -> list[Completion] | None:
+        """The completions stored at ``path``, or None if there is no entry."""
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            return None
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_BYTES):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        payload = json.loads(b"".join(chunks).decode("utf-8"))
         return [
             Completion(
                 text=c["text"],
@@ -463,7 +678,7 @@ class CachingBackend:
         self, path: Path, request: CompletionRequest, completions: Sequence[Completion]
     ) -> None:
         payload = {
-            "request": json.loads(_canonical_request(request).decode("ascii")),
+            "request": _request_fields(request),
             "completions": [
                 {
                     "text": c.text,
@@ -473,11 +688,21 @@ class CachingBackend:
                 for c in completions
             ],
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
+        data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
         tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            with tmp.open("x", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fd = os.open(tmp, flags, 0o666)  # the umask applies, unlike mkstemp's 0600
+        except FileNotFoundError:
+            os.makedirs(path.parent, exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -247,10 +247,15 @@ def cmd_run(config: RunConfig) -> int:
     failures = 0
     # Instances run on one pool, their fanned-out rex_got calls on another:
     # at most K·m calls per instance, so in-flight calls stay <= workers·K·m.
-    max_m = max((instance.m for instance in corpus.instances), default=1)
+    # Replayed calls never wait on the network, so more threads than
+    # instances would only add contention.
+    call_width = config.workers
+    if config.cache_mode != CACHE_REPLAY:
+        max_m = max((instance.m for instance in corpus.instances), default=1)
+        call_width *= config.k * max_m
     backend = build_backend(config)
     instance_pool = ThreadPoolExecutor(max_workers=config.workers)
-    call_pool = ThreadPoolExecutor(max_workers=config.workers * config.k * max_m)
+    call_pool = ThreadPoolExecutor(max_workers=call_width)
     try:
         for repeat_index in range(config.repeat):
             predictions, traces, repeat_failures = _run_once(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 import threading
 import time
@@ -422,3 +424,67 @@ def test_single_flight_error_reaches_every_waiter_and_is_not_kept():
     inner.error = None
     assert backend.complete(request()) == [Completion(text="call 2")]
     assert inner.calls == 2
+
+
+def test_store_into_missing_shard_creates_it(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    digest = cache_key(request())
+    assert not (cache_dir / digest[:2]).exists()
+    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    assert (cache_dir / digest[:2]).is_dir()
+    assert (cache_dir / digest[:2] / f"{digest}.json").is_file()
+
+
+def test_cache_entry_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        CachingBackend(CountingBackend(), tmp_path / "cache", mode="record").complete(request())
+    finally:
+        os.umask(old)
+    digest = cache_key(request())
+    entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_store_leaves_no_temp_file_on_success_or_failure(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    backend = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    backend.complete(request(prompt="kept"))
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        backend.complete(request(prompt="lost"))
+    assert list(cache_dir.rglob("*.tmp")) == []
+    kept = cache_key(request(prompt="kept"))
+    assert [p.name for p in cache_dir.rglob("*.json")] == [f"{kept}.json"]
+
+
+def test_replay_miss_creates_nothing(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    with pytest.raises(ReplayMiss):
+        CachingBackend(None, cache_dir, mode="replay").complete(request())
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_request_is_serialized_once_per_call(tmp_path, monkeypatch):
+    import rexgot.backend as backend_module
+
+    serialized = []
+    canonical = backend_module._canonical_request
+    monkeypatch.setattr(
+        backend_module, "_canonical_request", lambda req: serialized.append(req) or canonical(req)
+    )
+    backend = SingleFlightBackend(CachingBackend(CountingBackend(), tmp_path / "cache"))
+    req = request(prompt="once")
+    backend.complete(req)
+    assert len(serialized) == 1
+    stored = json.loads(next((tmp_path / "cache").rglob("*.json")).read_text("utf-8"))
+    assert stored["request"] == json.loads(canonical(req))
+    # The kept digest is not a field: equality and hashing still see only the fields.
+    twin = request(prompt="once")
+    assert req == twin and hash(req) == hash(twin) and repr(req) == repr(twin)

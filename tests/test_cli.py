@@ -302,3 +302,28 @@ def test_run_writes_only_inside_out_and_cache(tmp_path, bob_movie_setup, monkeyp
         )
     )
     assert list(workdir.iterdir()) == []
+
+
+def test_replay_call_pool_is_as_wide_as_workers(tmp_path, monkeypatch):
+    import rexgot.cli as cli
+
+    widths = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    corpus_path = _toy_corpus(tmp_path)
+    scripts_path = write_scripts_file(tmp_path / "scripts.json", [], default=["Answer: A"])
+    base = [
+        "run", "--corpus", str(corpus_path), "--strategy", "standard", "--backend", "scripted",
+        "--scripts", str(scripts_path), "--cache-dir", str(tmp_path / "cache"),
+        "--workers", "2", "--k", "3",
+    ]
+    assert main([*base, "--cache-mode", "record", "--out", str(tmp_path / "rec")]) == 0
+    assert widths == [2, 2 * 3 * 4]
+    widths.clear()
+    assert main([*base, "--cache-mode", "replay", "--out", str(tmp_path / "rep")]) == 0
+    assert widths == [2, 2]

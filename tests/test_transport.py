@@ -249,3 +249,153 @@ def test_http_run_does_not_import_requests(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"code": 0, "requests": False}
+
+
+class RawHandler(Handler):
+    """Sends the server's queued raw responses byte for byte; a ``None`` is a normal reply."""
+
+    def do_POST(self):
+        with self.server.lock:
+            raw = self.server.raw.pop(0) if self.server.raw else None
+        if raw is None:
+            super().do_POST()
+            return
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.paths.append(self.path)
+        data, close = raw
+        self.wfile.write(data)
+        self.wfile.flush()
+        self.close_connection = close
+
+
+@pytest.fixture
+def raw_server(server):
+    server.RequestHandlerClass = RawHandler
+    server.raw = []
+    return server
+
+
+def chunked(body: bytes, size: int = 7) -> bytes:
+    pieces = [body[i : i + size] for i in range(0, len(body), size)]
+    framed = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(p), p) for p in pieces)
+    return framed + b"0\r\nX-Trailer: t\r\n\r\n"
+
+
+def test_chunked_body_is_read_whole_and_connection_reused(raw_server):
+    text = "a chunked reply " * 20
+    raw_server.raw = [
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(chat_body(text)), False)
+    ]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request("a"))[0].text == text
+        assert backend.complete(request("b"))[0].text == "ok"
+    finally:
+        backend.close()
+    assert raw_server.connections == 1
+
+
+def test_interim_response_is_skipped(raw_server):
+    body = chat_body("final")
+    raw_server.raw = [
+        (
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+            False,
+        )
+    ]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request())[0].text == "final"
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize(
+    "head, close",
+    [
+        (b"HTTP/1.0 200 OK\r\n", True),  # HTTP/1.0, body delimited by the close
+        (b"HTTP/1.1 200 OK\r\n", True),  # HTTP/1.1 without Content-Length
+        (b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n", False),  # HTTP/1.0, server keeps it open
+        (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n", True),
+    ],
+)
+def test_body_without_keep_alive_is_read_whole_and_connection_not_reused(
+    raw_server, head, close
+):
+    body = chat_body("whole " * 50)
+    if b"%d" in head:
+        head = head % len(body)
+    raw_server.raw = [(head + b"\r\n" + body, close)]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request("a"))[0].text == "whole " * 50
+        assert backend.complete(request("b"))[0].text == "ok"
+    finally:
+        backend.close()
+    assert raw_server.connections == 2
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n" + chat_body("cut")[:20],
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(chat_body("cut"))[:30],
+        b"HTTP/1.1 200 OK\r\nContent-Len",
+    ],
+)
+def test_server_closing_mid_response_is_transport_error(raw_server, cut):
+    raw_server.raw = [None, (cut, True)]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request("warm"))[0].text == "ok"  # the cut one is reused
+        with pytest.raises(TransportError):
+            backend.complete(request("cut"))
+    finally:
+        backend.close()
+    assert raw_server.connections == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 OK 200\r\nContent-Length: 0\r\n\r\n",
+        b"SMTP ready\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nab\r\n0\r\n\r\n",
+    ],
+)
+def test_malformed_response_is_transport_error(raw_server, reply):
+    raw_server.raw = [(reply, True)]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        with pytest.raises(TransportError):
+            backend.complete(request())
+    finally:
+        backend.close()
+
+
+def test_proxy_environment_is_read_once_per_origin(server, monkeypatch):
+    import urllib.request
+
+    consulted = []
+    getproxies = urllib.request.getproxies
+    monkeypatch.setattr(
+        urllib.request, "getproxies", lambda: consulted.append(1) or getproxies()
+    )
+    port = server.server_address[1]
+    backends = [
+        HTTPBackend(server.url, timeout=10, max_retries=0),
+        HTTPBackend(f"http://localhost:{port}", timeout=10, max_retries=0),
+    ]
+    try:
+        for backend in backends:
+            for i in range(5):
+                assert backend.complete(request(f"p{i}"))[0].text == "ok"
+            # Each backend has its own transport; one origin, one look.
+            assert len(consulted) == backends.index(backend) + 1
+    finally:
+        for backend in backends:
+            backend.close()
