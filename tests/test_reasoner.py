@@ -16,7 +16,7 @@ from conftest import (
     make_instance,
     scripted_rex_backend,
 )
-from rexgot.backend import ScriptedBackend, TransportError
+from rexgot.backend import Completion, ScriptedBackend, TransportError
 from rexgot.model import Strategy
 from rexgot.parsing import ExclusionResult, OptionVerdict, Verdict
 from rexgot.prompts import PromptKind, render_prompt
@@ -565,3 +565,74 @@ def test_rex_got_step2_failure_surfaces_and_leaves_no_call_running(bob_movie_ins
     assert info.value.instance_id == bob_movie_instance.id
     assert isinstance(info.value.cause, TransportError)
     assert calls_at_return < 1 + config.k * bob_movie_instance.m
+
+
+# --- retry contract ---------------------------------------------------------
+
+
+class QueuedBackend:
+    """Returns queued replies in order, one per requested sample, whatever the prompt."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            texts, self.replies = self.replies[: request.n_samples], self.replies[request.n_samples:]
+        assert len(texts) == request.n_samples, "reply queue ran dry"
+        return [Completion(text=text) for text in texts]
+
+
+RETRY_CONFIG = ReasonerConfig(k=3, temperature_step1=0.9, temperature_step2=0.2,
+                              temperature_step3=0.4)
+
+
+def test_step1_garbage_sample_gets_one_single_retry_in_sample_order(bob_movie_instance):
+    backend = CountingWrapper(
+        QueuedBackend(["Excluded: A", "mmm interesting question", "Excluded: C", "Excluded: B"])
+    )
+    results = run_step1(bob_movie_instance, backend, RETRY_CONFIG)
+    assert [r.excluded for r in results] == [{0}, {1}, {2}]
+    assert not any(r.parse_failed for r in results)
+    assert results[1].raw_text == "Excluded: B"
+    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(3, 0.9), (1, 0.9)]
+    assert backend.requests[0].prompt == backend.requests[1].prompt
+
+
+def test_step3_garbage_then_answer_takes_the_retry():
+    instance = make_instance(m=3)
+    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
+    a2 = {i: OptionVerdict(i, Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
+    backend = CountingWrapper(QueuedBackend(["garbled nonsense output", "Answer: B"]))
+    assert run_step3(instance, a1, a2, backend, RETRY_CONFIG) == (frozenset({1}), False)
+    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.4), (1, 0.4)]
+
+
+def test_standard_garbage_then_valid_is_no_fallback():
+    instance = make_instance(m=3)
+    backend = CountingWrapper(QueuedBackend(["garbled nonsense output", "Answer: A, C"]))
+    prediction = run_strategy(instance, Strategy.STANDARD, backend, RETRY_CONFIG)
+    assert prediction.chosen == frozenset({0, 2})
+    assert not prediction.fallback_used
+    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.4), (1, 0.4)]
+
+
+def test_pick_loop_unparseable_twice_falls_back():
+    instance = make_instance(m=3)
+    backend = CountingWrapper(QueuedBackend(["garbled nonsense output", "still garbled"]))
+    prediction = run_strategy(instance, Strategy.FORWARD, backend, RETRY_CONFIG)
+    assert prediction.fallback_used
+    assert prediction.chosen == frozenset({0})
+    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.4), (1, 0.4)]
+
+
+def test_verdict_abstention_keeps_the_retry_text():
+    instance = make_instance(m=2)
+    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
+    backend = CountingWrapper(QueuedBackend(["shrug", "second shrug", "Verdict: reasonable"]))
+    verdicts = run_step2(instance, a1, backend, RETRY_CONFIG)
+    assert verdicts[0].verdict is Verdict.ABSTAIN
+    assert verdicts[0].raw_text == "second shrug"
+    assert verdicts[1].verdict is Verdict.REASONABLE
+    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.2)] * 3
