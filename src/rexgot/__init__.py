@@ -14,11 +14,9 @@ from .backend import (
 from .dataset import Corpus, corpus_stats, filter_multi, load_corpus, save_corpus
 from .evaluation import EvalReport, compare_report, evaluate, exact_match, macro_f1
 from .model import (
-    ContextBlock,
     MCQInstance,
     Prediction,
     RexGotError,
-    Stage,
     Strategy,
     Utterance,
     validate_instance,
@@ -31,7 +29,7 @@ from .parsing import (
     parse_final_set,
     parse_verdict,
 )
-from .prompts import PromptKind, assemble_context, render, render_prompt
+from .prompts import PromptKind, render_prompt
 from .reasoner import (
     ReasonerConfig,
     ReasoningPath,
@@ -52,7 +50,6 @@ __all__ = [
     "CachingBackend",
     "Completion",
     "CompletionRequest",
-    "ContextBlock",
     "Corpus",
     "EvalReport",
     "ExclusionResult",
@@ -65,7 +62,6 @@ __all__ = [
     "ReasoningPath",
     "RexGotError",
     "ScriptedBackend",
-    "Stage",
     "Strategy",
     "ThoughtGraph",
     "TieBreak",
@@ -73,7 +69,6 @@ __all__ = [
     "Verdict",
     "VoteKind",
     "VotePolicy",
-    "assemble_context",
     "build_graph",
     "cache_key",
     "compare_report",
@@ -86,7 +81,6 @@ __all__ = [
     "parse_exclusions",
     "parse_final_set",
     "parse_verdict",
-    "render",
     "render_prompt",
     "run_strategy",
     "save_corpus",

@@ -3,7 +3,9 @@
 All types are immutable after construction and safe to share between
 concurrent workers. Options are identified by 0-based index everywhere
 inside the library; the positional letter labels ("A", "B", ...) exist
-only at the prompt/parse boundary.
+only at the prompt/parse boundary. Prompt contexts have no type of
+their own: :mod:`rexgot.prompts` renders them straight from an
+:class:`MCQInstance` and the earlier steps' texts.
 """
 
 from __future__ import annotations
@@ -187,55 +189,8 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     )
 
 
-class Stage(Enum):
-    """Context assembly stage: base, base + exclusions, base + exclusions + verdicts."""
-
-    T = "T"
-    T1 = "T1"
-    T2 = "T2"
-
-
-_BASE_TAGS = ("dialogue", "target", "question", "options")
-STAGE_TAGS = {
-    Stage.T: _BASE_TAGS,
-    Stage.T1: _BASE_TAGS + ("exclusion_result",),
-    Stage.T2: _BASE_TAGS + ("exclusion_result", "verdicts"),
-}
-
-
 class MissingStageInput(RexGotError):
-    """A context stage was requested without the text it extends."""
-
-
-@dataclass(frozen=True)
-class ContextBlock:
-    """Ordered (tag, text) segments making up one assembled context.
-
-    Rendering is deterministic: the same block always renders to
-    byte-identical text.
-    """
-
-    segments: tuple[tuple[str, str], ...]
-    stage: Stage
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple((t, s) for t, s in self.segments))
-        tags = tuple(tag for tag, _ in self.segments)
-        if tags != STAGE_TAGS[self.stage]:
-            raise ValidationError(
-                f"stage {self.stage.value} requires segment tags "
-                f"{STAGE_TAGS[self.stage]}, got {tags}",
-                field_name="segments",
-            )
-
-    def render(self) -> str:
-        return "\n\n".join(text for _, text in self.segments)
-
-    def segment_text(self, tag: str) -> str:
-        for seg_tag, text in self.segments:
-            if seg_tag == tag:
-                return text
-        raise KeyError(tag)
+    """A prompt was requested without the earlier step's text it builds on."""
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,23 @@
-"""Context assembly and prompt rendering for every strategy and step.
+"""Prompt rendering for every strategy and step.
 
 The instruction sentences live in versioned resource files under
 ``templates/`` so documentation and tests can pin exact bytes. The
-context serialization is fixed here: numbered dialogue turns with
-speaker prefixes, a quoted "Target:" line, a "Question:" line, and
-lettered option lines. Rendering is pure: equal inputs always produce
-byte-identical prompts.
+context is rendered straight from the :class:`MCQInstance` and the stage
+inputs: numbered dialogue turns with speaker prefixes, a quoted
+"Target:" line, a "Question:" line and lettered option lines, then the
+exclusion text (steps 2 and 3) and the per-option analyses (step 3).
+Option and target texts in the instruction are the instance's own.
+Rendering is pure: equal inputs always produce byte-identical prompts.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .model import (
-    ContextBlock,
-    MCQInstance,
-    MissingStageInput,
-    RexGotError,
-    Stage,
-    index_to_letter,
-)
+from .model import MCQInstance, MissingStageInput, index_to_letter
 
 EXCLUSION_HEADER = "Excluded options and reasons:"
 VERDICTS_HEADER = "Option analyses:"
@@ -31,10 +25,6 @@ OMITTED_MARKER = "[earlier turns omitted]"
 
 # Crude but deterministic size estimate used for the prompt budget.
 CHARS_PER_TOKEN = 4
-
-
-class StageMismatch(RexGotError):
-    """The context stage does not match what the prompt kind needs."""
 
 
 class PromptKind(Enum):
@@ -46,16 +36,6 @@ class PromptKind(Enum):
     FORWARD_PICK = "forward_pick"
     BACKWARD_PICK = "backward_pick"
 
-
-STAGE_FOR_KIND = {
-    PromptKind.STANDARD: Stage.T,
-    PromptKind.VANILLA_COT: Stage.T,
-    PromptKind.STEP1_EXCLUSION: Stage.T,
-    PromptKind.STEP2_VERDICT: Stage.T1,
-    PromptKind.STEP3_COMBINE: Stage.T2,
-    PromptKind.FORWARD_PICK: Stage.T,
-    PromptKind.BACKWARD_PICK: Stage.T,
-}
 
 _template_cache: dict[str, str] = {}
 
@@ -71,140 +51,34 @@ def template_version() -> str:
     return (resources.files("rexgot") / "templates" / "VERSION").read_text("utf-8").strip()
 
 
-def assemble_context(
-    instance: MCQInstance,
-    stage: Stage,
-    a1: str | None = None,
-    a2: Mapping[int, str] | None = None,
-    omit_turns_before: int = 0,
-) -> ContextBlock:
-    """Assemble the staged context for one instance.
-
-    ``a1`` is the exclusion-step answer text (required from stage T1 on)
-    and ``a2`` maps option index to that option's analysis text (required
-    at stage T2). ``omit_turns_before`` drops leading dialogue turns and
-    marks the omission; the target turn is never dropped.
-    """
-    if stage in (Stage.T1, Stage.T2) and a1 is None:
-        raise MissingStageInput(f"stage {stage.value} requires the exclusion text a1")
-    if stage is Stage.T2 and a2 is None:
-        raise MissingStageInput("stage T2 requires the per-option verdict texts a2")
-    omit = min(max(omit_turns_before, 0), instance.target_index)
-
-    lines = []
-    if omit:
-        lines.append(OMITTED_MARKER)
-    for i in range(omit, instance.n):
-        turn = instance.dialogue[i]
-        lines.append(f"{i + 1}. {turn.speaker}: {turn.text}")
-    segments: list[tuple[str, str]] = [
-        ("dialogue", "\n".join(lines)),
-        ("target", f'Target: "{instance.target.text}"'),
-        ("question", f"Question: {instance.question}"),
-        (
-            "options",
-            "\n".join(
-                f"{index_to_letter(i)}. {text}" for i, text in enumerate(instance.options)
-            ),
-        ),
-    ]
-    if stage in (Stage.T1, Stage.T2):
-        segments.append(("exclusion_result", f"{EXCLUSION_HEADER}\n{a1}"))
-    if stage is Stage.T2:
-        assert a2 is not None
-        verdict_lines = [
-            f"{index_to_letter(i)}. {a2[i]}" for i in sorted(a2) if 0 <= i < instance.m
-        ]
-        segments.append(("verdicts", VERDICTS_HEADER + "\n" + "\n".join(verdict_lines)))
-    return ContextBlock(segments=tuple(segments), stage=stage)
-
-
-def target_text(context: ContextBlock) -> str:
-    """Recover the target utterance text from the context's Target line."""
-    text = context.segment_text("target")
-    body = text[len("Target: "):]
-    if body.startswith('"') and body.endswith('"'):
-        body = body[1:-1]
-    return body
-
-
-_OPTION_LINE = re.compile(r"^([A-Z])\. (.*)$")
-
-
-def option_entries(context: ContextBlock) -> list[tuple[int, str]]:
-    """Recover (index, text) option pairs from the context's options segment."""
-    entries: list[tuple[int, str]] = []
-    for line in context.segment_text("options").splitlines():
-        match = _OPTION_LINE.match(line)
-        expected = index_to_letter(len(entries)) if len(entries) < 26 else None
-        if match and match.group(1) == expected:
-            entries.append((len(entries), match.group(2)))
-        elif entries:
-            # Continuation of a multi-line option text.
-            index, text = entries[-1]
-            entries[-1] = (index, text + "\n" + line)
-    return entries
-
-
-def render(
-    kind: PromptKind,
-    context: ContextBlock,
-    option_index: int | None = None,
-    taken: Sequence[int] = (),
-) -> str:
-    """Render the prompt for ``kind`` over an assembled context.
-
-    ``option_index`` selects the option under analysis (required for
-    STEP2_VERDICT); ``taken`` lists the options already picked (forward)
-    or removed (backward) by the iterative strategies.
-    """
-    required = STAGE_FOR_KIND[kind]
-    if context.stage is not required:
-        raise StageMismatch(
-            f"{kind.value} needs stage {required.value}, got {context.stage.value}"
-        )
-    template = _load_template(kind.value)
-    if kind is PromptKind.STEP2_VERDICT:
-        entries = dict(option_entries(context))
-        if option_index is None or option_index not in entries:
-            raise ValueError(f"step-2 prompt needs a valid option_index, got {option_index!r}")
-        return template.format(
-            context=context.render(),
-            option_label=index_to_letter(option_index),
-            option_text=entries[option_index],
-        )
-    if kind in (PromptKind.STEP1_EXCLUSION, PromptKind.STEP3_COMBINE):
-        return template.format(context=context.render(), target=target_text(context))
-    if kind in (PromptKind.FORWARD_PICK, PromptKind.BACKWARD_PICK):
-        m = len(option_entries(context))
-        taken_set = sorted(set(taken))
-        remaining = [i for i in range(m) if i not in taken_set]
-        if kind is PromptKind.FORWARD_PICK:
-            progress = (
-                "Already selected: "
-                + ", ".join(index_to_letter(i) for i in taken_set)
-                + ".\n"
-                if taken_set
-                else ""
-            )
-        else:
-            progress = (
-                "Already removed: "
-                + ", ".join(index_to_letter(i) for i in taken_set)
-                + ".\n"
-                if taken_set
-                else ""
-            )
-        return template.format(
-            context=context.render(),
-            progress=progress,
-            remaining=", ".join(index_to_letter(i) for i in remaining) or "none",
-        )
-    return template.format(context=context.render())
-
-
 def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / CHARS_PER_TOKEN)
+
+
+def _instruction_fields(
+    instance: MCQInstance, kind: PromptKind, option_index: int | None, taken: Sequence[int]
+) -> dict[str, str]:
+    """The template fields besides ``context`` that ``kind`` fills in."""
+    if kind is PromptKind.STEP2_VERDICT:
+        if option_index is None or not 0 <= option_index < instance.m:
+            raise ValueError(f"step-2 prompt needs a valid option_index, got {option_index!r}")
+        return {
+            "option_label": index_to_letter(option_index),
+            "option_text": instance.options[option_index],
+        }
+    if kind in (PromptKind.STEP1_EXCLUSION, PromptKind.STEP3_COMBINE):
+        return {"target": instance.target.text}
+    if kind in (PromptKind.FORWARD_PICK, PromptKind.BACKWARD_PICK):
+        taken_set = sorted(set(taken))
+        verb = "selected" if kind is PromptKind.FORWARD_PICK else "removed"
+        progress = (
+            f"Already {verb}: " + ", ".join(index_to_letter(i) for i in taken_set) + ".\n"
+            if taken_set
+            else ""
+        )
+        remaining = [index_to_letter(i) for i in range(instance.m) if i not in taken_set]
+        return {"progress": progress, "remaining": ", ".join(remaining) or "none"}
+    return {}
 
 
 def render_prompt(
@@ -216,19 +90,55 @@ def render_prompt(
     taken: Sequence[int] = (),
     max_prompt_tokens: int | None = None,
 ) -> str:
-    """Assemble and render in one step, trimming to the token budget.
+    """Render the prompt for ``kind`` on ``instance``, trimmed to the token budget.
 
-    When the rendered prompt exceeds ``max_prompt_tokens`` the earliest
-    dialogue turns are dropped one by one (never the target turn) and an
-    omission marker is prepended.
+    ``a1`` is the exclusion-step answer text (required by STEP2_VERDICT
+    and STEP3_COMBINE) and ``a2`` maps option index to that option's
+    analysis text (required by STEP3_COMBINE; indices outside the option
+    range are left out). ``option_index`` selects the option under
+    analysis (STEP2_VERDICT); ``taken`` lists the options already picked
+    (forward) or removed (backward) by the iterative strategies.
+
+    When the prompt exceeds ``max_prompt_tokens``, the fewest earliest
+    dialogue turns that make it fit are dropped, behind an omission
+    marker; the target turn and the turns after it are never dropped, so
+    an impossible budget keeps only those.
     """
-    stage = STAGE_FOR_KIND[kind]
+    if kind in (PromptKind.STEP2_VERDICT, PromptKind.STEP3_COMBINE) and a1 is None:
+        raise MissingStageInput(f"{kind.value} requires the exclusion text a1")
+    if kind is PromptKind.STEP3_COMBINE and a2 is None:
+        raise MissingStageInput(f"{kind.value} requires the per-option verdict texts a2")
+    fields = _instruction_fields(instance, kind, option_index, taken)
+    template = _load_template(kind.value)
+
+    turns = [f"{i + 1}. {turn.speaker}: {turn.text}" for i, turn in enumerate(instance.dialogue)]
+    sections = [
+        f'Target: "{instance.target.text}"',
+        f"Question: {instance.question}",
+        "\n".join(f"{index_to_letter(i)}. {text}" for i, text in enumerate(instance.options)),
+    ]
+    if kind in (PromptKind.STEP2_VERDICT, PromptKind.STEP3_COMBINE):
+        sections.append(f"{EXCLUSION_HEADER}\n{a1}")
+    if kind is PromptKind.STEP3_COMBINE:
+        verdicts = [f"{index_to_letter(i)}. {a2[i]}" for i in sorted(a2) if 0 <= i < instance.m]
+        sections.append(VERDICTS_HEADER + "\n" + "\n".join(verdicts))
+    rest = "\n\n".join(sections)
+
+    def with_omitted(omit: int) -> str:
+        dialogue = ([OMITTED_MARKER] if omit else []) + turns[omit:]
+        return template.format(context="\n".join(dialogue) + "\n\n" + rest, **fields)
+
+    prompt = with_omitted(0)
+    if max_prompt_tokens is None or estimate_tokens(prompt) <= max_prompt_tokens:
+        return prompt
+    # Each dropped turn takes its line and newline; the marker adds one line.
+    # Scan up from one: dropping a short turn can lengthen the prompt, so a
+    # later omit count may fit where an earlier one does not.
+    size = len(prompt) + len(OMITTED_MARKER) + 1
     omit = 0
-    while True:
-        context = assemble_context(instance, stage, a1=a1, a2=a2, omit_turns_before=omit)
-        prompt = render(kind, context, option_index=option_index, taken=taken)
-        if max_prompt_tokens is None or estimate_tokens(prompt) <= max_prompt_tokens:
-            return prompt
-        if omit >= instance.target_index:
-            return prompt
+    while omit < instance.target_index:
+        size -= len(turns[omit]) + 1
         omit += 1
+        if math.ceil(size / CHARS_PER_TOKEN) <= max_prompt_tokens:
+            break
+    return with_omitted(omit) if omit else prompt

@@ -23,7 +23,7 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .backend import Backend, BackendError, CompletionRequest
 from .model import MCQInstance, Prediction, RexGotError, Strategy, index_to_letter
@@ -285,6 +285,39 @@ def _request(prompt: str, config: ReasonerConfig, n: int, temperature: float) ->
     )
 
 
+T = TypeVar("T")
+
+
+def _ask(
+    prompt: str,
+    parse: Callable[[str], T],
+    temperature: float,
+    instance_id: str,
+    backend: Backend,
+    config: ReasonerConfig,
+    first: str | None = None,
+) -> tuple[T | None, str]:
+    """Complete ``prompt`` with one sample, parse it, and retry once on failure.
+
+    ``first`` is a completion already in hand (one of step 1's K samples);
+    then only the retry is requested. ``Unparseable``, ``EmptySet`` and an
+    empty set count as failures. Returns (parsed value or None, last text).
+    """
+    request = _request(prompt, config, 1, temperature)
+    text = first if first is not None else _complete(backend, request, instance_id)[0]
+    for attempt in range(2):
+        try:
+            parsed = parse(text)
+        except (Unparseable, EmptySet):
+            pass
+        else:
+            if parsed != frozenset():
+                return parsed, text
+        if attempt == 0:
+            text = _complete(backend, request, instance_id)[0]
+    return None, text
+
+
 def run_step1(
     instance: MCQInstance, backend: Backend, config: ReasonerConfig
 ) -> list[ExclusionResult]:
@@ -300,23 +333,14 @@ def run_step1(
         backend, _request(prompt, config, config.k, config.temperature_step1), instance.id
     )
     results = []
-    for text in texts:
-        try:
-            results.append(parse_exclusions(text, instance.m))
-            continue
-        except Unparseable:
-            pass
-        retry_text = _complete(
-            backend, _request(prompt, config, 1, config.temperature_step1), instance.id
-        )[0]
-        try:
-            results.append(parse_exclusions(retry_text, instance.m))
-        except Unparseable:
-            results.append(
-                ExclusionResult(
-                    excluded=frozenset(), reasons={}, raw_text=retry_text, parse_failed=True
-                )
-            )
+    for first in texts:
+        result, text = _ask(
+            prompt, lambda t: parse_exclusions(t, instance.m), config.temperature_step1,
+            instance.id, backend, config, first=first,
+        )
+        if result is None:
+            result = ExclusionResult(excluded=frozenset(), raw_text=text, parse_failed=True)
+        results.append(result)
     return results
 
 
@@ -354,21 +378,11 @@ def _verdict_prompt(
 def _verdict_with_retry(
     prompt: str, option_index: int, instance_id: str, backend: Backend, config: ReasonerConfig
 ) -> OptionVerdict:
-    text = _complete(backend, _request(prompt, config, 1, config.temperature_step2), instance_id)[0]
-    for attempt in range(2):
-        try:
-            verdict, reason = parse_verdict(text)
-            return OptionVerdict(
-                option_index=option_index, verdict=verdict, reason=reason, raw_text=text
-            )
-        except Unparseable:
-            if attempt == 0:
-                text = _complete(
-                    backend, _request(prompt, config, 1, config.temperature_step2), instance_id
-                )[0]
-    return OptionVerdict(
-        option_index=option_index, verdict=Verdict.ABSTAIN, reason="", raw_text=text
+    parsed, text = _ask(
+        prompt, parse_verdict, config.temperature_step2, instance_id, backend, config
     )
+    verdict, reason = parsed if parsed is not None else (Verdict.ABSTAIN, "")
+    return OptionVerdict(option_index=option_index, verdict=verdict, reason=reason, raw_text=text)
 
 
 def run_step3(
@@ -412,16 +426,12 @@ def _combine(
     backend: Backend,
     config: ReasonerConfig,
 ) -> tuple[frozenset[int], bool]:
-    for attempt in range(2):
-        text = _complete(
-            backend, _request(prompt, config, 1, config.temperature_step3), instance.id
-        )[0]
-        try:
-            chosen = parse_final_set(text, instance.m)
-            if chosen:
-                return chosen, False
-        except (Unparseable, EmptySet):
-            pass
+    chosen, _ = _ask(
+        prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3,
+        instance.id, backend, config,
+    )
+    if chosen is not None:
+        return chosen, False
     chosen = frozenset(i for i, v in a2.items() if v.verdict is Verdict.REASONABLE)
     if not chosen:
         chosen = frozenset(range(instance.m)) - a1.excluded
@@ -438,23 +448,15 @@ def _single_shot(
     config: ReasonerConfig,
 ) -> Prediction:
     prompt = render_prompt(instance, kind, max_prompt_tokens=config.max_prompt_tokens)
-    chosen: frozenset[int] | None = None
-    for _ in range(2):
-        text = _complete(
-            backend, _request(prompt, config, 1, config.temperature_step3), instance.id
-        )[0]
-        try:
-            parsed = parse_final_set(text, instance.m)
-            if parsed:
-                chosen = parsed
-                break
-        except (Unparseable, EmptySet):
-            pass
-    fallback = chosen is None
-    if chosen is None:
-        chosen = frozenset(range(instance.m))
+    chosen, _ = _ask(
+        prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3,
+        instance.id, backend, config,
+    )
     return Prediction(
-        instance_id=instance.id, strategy=strategy, chosen=chosen, fallback_used=fallback
+        instance_id=instance.id,
+        strategy=strategy,
+        chosen=chosen if chosen is not None else frozenset(range(instance.m)),
+        fallback_used=chosen is None,
     )
 
 
@@ -472,19 +474,14 @@ def _pick_loop(
         prompt = render_prompt(
             instance, kind, taken=marked, max_prompt_tokens=config.max_prompt_tokens
         )
-        pick = more = None
-        for _attempt in range(2):
-            text = _complete(
-                backend, _request(prompt, config, 1, config.temperature_step3), instance.id
-            )[0]
-            try:
-                pick, more = parse_pick(text, instance.m, verb)
-                break
-            except Unparseable:
-                continue
-        if pick is None:
+        parsed, _ = _ask(
+            prompt, lambda t: parse_pick(t, instance.m, verb), config.temperature_step3,
+            instance.id, backend, config,
+        )
+        if parsed is None:
             fallback = True
             break
+        pick, more = parsed
         if pick not in marked:
             marked.append(pick)
         if not more or len(marked) == instance.m:

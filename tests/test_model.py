@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from rexgot.model import (
-    ContextBlock,
     EmptyGold,
     EmptyOptions,
     GoldOutOfRange,
-    Stage,
     TargetOutOfRange,
     Utterance,
     ValidationError,
@@ -111,32 +109,31 @@ def test_letter_to_index_case_insensitive():
         letter_to_index("AB")
 
 
-def test_context_stage_tags_enforced():
-    with pytest.raises(ValidationError):
-        ContextBlock(segments=(("dialogue", "x"), ("question", "y")), stage=Stage.T)
+def _context(instance, kind, **kwargs):
+    from rexgot.prompts import render_prompt
+
+    return render_prompt(instance, kind, **kwargs).rsplit("\n\nGiven the context", 1)[0]
 
 
 def test_context_stage_monotone():
-    from rexgot.prompts import assemble_context
+    from rexgot.prompts import PromptKind
 
     instance = make_instance(m=3)
-    base = assemble_context(instance, Stage.T)
-    extended = assemble_context(instance, Stage.T1, a1="excluded text")
-    full = assemble_context(
-        instance, Stage.T2, a1="excluded text", a2={0: "v0", 1: "v1", 2: "v2"}
+    base = _context(instance, PromptKind.STANDARD)
+    extended = _context(instance, PromptKind.STEP2_VERDICT, a1="excluded text", option_index=0)
+    full = _context(
+        instance, PromptKind.STEP3_COMBINE, a1="excluded text", a2={0: "v0", 1: "v1", 2: "v2"}
     )
-    assert base.segments == extended.segments[: len(base.segments)]
-    assert extended.segments == full.segments[: len(extended.segments)]
-    assert set(dict(base.segments)) < set(dict(extended.segments)) < set(dict(full.segments))
+    # T1 is T plus the exclusion section; T2 is T1 plus the analyses section.
+    assert extended == base + "\n\nExcluded options and reasons:\nexcluded text"
+    assert full == extended + "\n\nOption analyses:\nA. v0\nB. v1\nC. v2"
 
 
 def test_context_render_deterministic():
-    from rexgot.prompts import assemble_context
+    from rexgot.prompts import PromptKind
 
     instance = make_instance()
-    one = assemble_context(instance, Stage.T).render()
-    two = assemble_context(instance, Stage.T).render()
-    assert one == two
+    assert _context(instance, PromptKind.STANDARD) == _context(instance, PromptKind.STANDARD)
 
 
 def test_prediction_chosen_must_be_nonempty():

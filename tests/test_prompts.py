@@ -3,53 +3,64 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import hashlib
+import re
 
 import pytest
 
 from conftest import make_instance
-from rexgot.model import MissingStageInput, Stage, Utterance
+from rexgot.model import MissingStageInput, Utterance
 from rexgot.prompts import (
+    EXCLUSION_HEADER,
     OMITTED_MARKER,
     PromptKind,
-    StageMismatch,
-    assemble_context,
     estimate_tokens,
-    option_entries,
-    render,
     render_prompt,
-    target_text,
     template_version,
 )
 
+A1 = "Options C and D are unreasonable because the context rules them out."
+INSTRUCTION = "\n\nGiven the context"
+
+
+def context_of(prompt):
+    """The context part of a prompt: everything before its instruction."""
+    return prompt.rsplit(INSTRUCTION, 1)[0]
+
 
 def test_stage_t_has_five_lettered_option_lines(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    option_lines = block.segment_text("options").splitlines()
-    assert len(option_lines) == 5
-    assert option_lines[0].startswith("A. ")
-    assert option_lines[4].startswith("E. ")
+    prompt = render_prompt(bob_movie_instance, PromptKind.STANDARD)
+    option_lines = [line for line in prompt.splitlines() if re.match(r"[A-Z]\. ", line)]
+    assert option_lines == [
+        f"{letter}. {text}" for letter, text in zip("ABCDE", bob_movie_instance.options)
+    ]
 
 
 def test_stage_t1_contains_exclusion_segment(bob_movie_instance):
-    a1 = "Options C and D are unreasonable because the context rules them out."
-    block = assemble_context(bob_movie_instance, Stage.T1, a1=a1)
-    assert block.stage is Stage.T1
-    assert a1 in block.segment_text("exclusion_result")
-    assert block.segment_text("exclusion_result").startswith("Excluded options and reasons:")
+    prompt = render_prompt(bob_movie_instance, PromptKind.STEP2_VERDICT, a1=A1, option_index=0)
+    assert context_of(prompt).endswith(f"\n\n{EXCLUSION_HEADER}\n{A1}")
+    assert EXCLUSION_HEADER not in render_prompt(bob_movie_instance, PromptKind.STANDARD)
 
 
 def test_stage_t2_without_a2_raises(bob_movie_instance):
     with pytest.raises(MissingStageInput):
-        assemble_context(bob_movie_instance, Stage.T2, a1="some exclusion")
+        render_prompt(bob_movie_instance, PromptKind.STEP3_COMBINE, a1="some exclusion")
 
 
 def test_stage_t1_without_a1_raises(bob_movie_instance):
     with pytest.raises(MissingStageInput):
-        assemble_context(bob_movie_instance, Stage.T1)
+        render_prompt(bob_movie_instance, PromptKind.STEP2_VERDICT, option_index=0)
+    with pytest.raises(MissingStageInput):
+        render_prompt(bob_movie_instance, PromptKind.STEP3_COMBINE, a2={0: "v"})
+
+
+def test_bad_option_index_raises(bob_movie_instance):
+    for bad in (None, -1, bob_movie_instance.m):
+        with pytest.raises(ValueError):
+            render_prompt(bob_movie_instance, PromptKind.STEP2_VERDICT, a1=A1, option_index=bad)
 
 
 def test_dialogue_turns_numbered_with_speakers(bob_movie_instance):
-    dialogue = assemble_context(bob_movie_instance, Stage.T).segment_text("dialogue")
+    dialogue = context_of(render_prompt(bob_movie_instance, PromptKind.STANDARD)).split("\n\n")[0]
     lines = dialogue.splitlines()
     assert lines[0].startswith("1. Alice: ")
     assert lines[1].startswith("2. Bob: ")
@@ -57,42 +68,43 @@ def test_dialogue_turns_numbered_with_speakers(bob_movie_instance):
 
 
 def test_target_line_quotes_target(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    assert block.segment_text("target") == f'Target: "{bob_movie_instance.target.text}"'
-    assert target_text(block) == bob_movie_instance.target.text
+    sections = context_of(render_prompt(bob_movie_instance, PromptKind.STANDARD)).split("\n\n")
+    assert sections[1] == f'Target: "{bob_movie_instance.target.text}"'
 
 
 def test_standard_render_ends_with_instruction(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    prompt = render(PromptKind.STANDARD, block)
-    assert prompt.endswith("which options are correct?")
-    assert prompt.startswith(block.render())
+    prompt = render_prompt(bob_movie_instance, PromptKind.STANDARD)
+    assert prompt.endswith(INSTRUCTION + ", which options are correct?")
+    assert prompt.startswith("1. Alice: ")
 
 
 def test_cot_render_mentions_step_by_step(bob_movie_instance):
-    prompt = render(PromptKind.VANILLA_COT, assemble_context(bob_movie_instance, Stage.T))
+    prompt = render_prompt(bob_movie_instance, PromptKind.VANILLA_COT)
     assert "let's think step-by-step" in prompt
     assert prompt.endswith("which options are correct and why?")
 
 
 def test_step1_render_asks_unreasonable_and_why(bob_movie_instance):
-    prompt = render(PromptKind.STEP1_EXCLUSION, assemble_context(bob_movie_instance, Stage.T))
+    prompt = render_prompt(bob_movie_instance, PromptKind.STEP1_EXCLUSION)
     assert "are unreasonable and why?" in prompt
     assert f'"{bob_movie_instance.target.text}"' in prompt
     assert "Excluded:" in prompt
 
 
 def test_step2_render_substitutes_option_clause(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T1, a1="exclusion text")
-    prompt = render(PromptKind.STEP2_VERDICT, block, option_index=2)
+    prompt = render_prompt(
+        bob_movie_instance, PromptKind.STEP2_VERDICT, a1="exclusion text", option_index=2
+    )
     expected = f"if the answer is C. {bob_movie_instance.options[2]}, is it reasonable and why?"
     assert expected in prompt
 
 
 def test_step2_renders_differ_only_in_option_clause(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T1, a1="exclusion text")
-    one = render(PromptKind.STEP2_VERDICT, block, option_index=0)
-    two = render(PromptKind.STEP2_VERDICT, block, option_index=1)
+    one, two = (
+        render_prompt(bob_movie_instance, PromptKind.STEP2_VERDICT, a1="exclusion text",
+                      option_index=i)
+        for i in (0, 1)
+    )
     changes = [
         line
         for line in difflib.ndiff(one.splitlines(), two.splitlines())
@@ -103,52 +115,48 @@ def test_step2_renders_differ_only_in_option_clause(bob_movie_instance):
     assert "if the answer is B." in changes[1]
 
 
-def test_step3_requires_stage_t2(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    with pytest.raises(StageMismatch):
-        render(PromptKind.STEP3_COMBINE, block)
-
-
-def test_step2_requires_stage_t1(bob_movie_instance):
-    with pytest.raises(StageMismatch):
-        render(
-            PromptKind.STEP2_VERDICT,
-            assemble_context(bob_movie_instance, Stage.T),
-            option_index=0,
-        )
+def test_step2_quotes_option_text_verbatim():
+    # Option texts that contain a line break, or a line that reads like the
+    # next option, are quoted as they are, and the options stay m in number.
+    base = make_instance(m=3)
+    instance = dataclasses.replace(base, options=("first\nB. injected", "a\r\nb", "second\nD. phantom"))
+    for i, text in enumerate(instance.options):
+        prompt = render_prompt(instance, PromptKind.STEP2_VERDICT, a1=A1, option_index=i)
+        assert f"if the answer is {'ABC'[i]}. {text}, is it reasonable and why?" in prompt
+    forward = render_prompt(instance, PromptKind.FORWARD_PICK)
+    assert "which single option among A, B, C is" in forward
+    assert "among none" in render_prompt(instance, PromptKind.FORWARD_PICK, taken=[0, 1, 2])
 
 
 def test_render_is_pure(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    assert render(PromptKind.STANDARD, block) == render(PromptKind.STANDARD, block)
+    for kind in PromptKind:
+        kwargs = {"a1": A1, "a2": {i: f"v{i}" for i in range(5)}, "option_index": 1,
+                  "taken": [2]}
+        assert render_prompt(bob_movie_instance, kind, **kwargs) == render_prompt(
+            bob_movie_instance, kind, **kwargs
+        )
 
 
 def test_every_option_text_appears_exactly_once():
     instance = make_instance(m=5, option_prefix="distinct marker")
-    prompt = render(PromptKind.STANDARD, assemble_context(instance, Stage.T))
+    prompt = render_prompt(instance, PromptKind.STANDARD)
     for text in instance.options:
         assert prompt.count(text) == 1
 
 
-def test_option_entries_round_trip(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    entries = option_entries(block)
-    assert [text for _, text in entries] == list(bob_movie_instance.options)
-
-
 def test_forward_prompt_lists_remaining_options(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    prompt = render(PromptKind.FORWARD_PICK, block, taken=[0, 2])
+    prompt = render_prompt(bob_movie_instance, PromptKind.FORWARD_PICK, taken=[0, 2])
     assert "Already selected: A, C." in prompt
     assert "among B, D, E" in prompt
     assert "Pick: <letter>" in prompt
     assert "More: yes" in prompt
+    assert "Already" not in render_prompt(bob_movie_instance, PromptKind.FORWARD_PICK)
 
 
 def test_backward_prompt_lists_removed_options(bob_movie_instance):
-    block = assemble_context(bob_movie_instance, Stage.T)
-    prompt = render(PromptKind.BACKWARD_PICK, block, taken=[3])
+    prompt = render_prompt(bob_movie_instance, PromptKind.BACKWARD_PICK, taken=[3])
     assert "Already removed: D." in prompt
+    assert "among A, B, C, E" in prompt
     assert "Remove: <letter>" in prompt
 
 
