@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -327,3 +328,54 @@ def test_replay_call_pool_is_as_wide_as_workers(tmp_path, monkeypatch):
     widths.clear()
     assert main([*base, "--cache-mode", "replay", "--out", str(tmp_path / "rep")]) == 0
     assert widths == [2, 2]
+
+
+def _output_digests(out_dir):
+    names = ["predictions.jsonl", "report.json"] + sorted(
+        f"traces/{p.name}" for p in (out_dir / "traces").iterdir()
+    )
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names
+    }
+
+
+GOLDEN_BOB_MOVIE = {
+    "predictions.jsonl": "47680a65347e67b764b5286a4f5a5aeddc7bffd0d8e6d55ad315fff4f6a4d466",
+    "report.json": "2ca7f574b896c74ee664aea4c4cf6c3dd1e5dedff0a3f59de39e831538b1f910",
+    "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
+}
+GOLDEN_BOB_MOVIE_REPEAT_2 = {
+    "predictions.jsonl": "47680a65347e67b764b5286a4f5a5aeddc7bffd0d8e6d55ad315fff4f6a4d466",
+    "report.json": "10328e8cbd0639704cdc3e9d3f0f0bbc9665066b6d1e46e336bf4c18fd5a95d7",
+    "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
+}
+GOLDEN_PARTIAL_FAILURE = {
+    "predictions.jsonl": "70c37dde1cebfec8e7885504b9a2c685481ada30018e709df342227c497be6ee",
+    "report.json": "8acd94ac30920609f9be7ba342ed7254003f300cd5b0f516a04db54500278617",
+    "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
+    "traces/uncovered.json": "d8fa5c1ce24110b869aa9f6257f2248ffe5f58e70cf2fecb9ccca528b287b286",
+}
+
+
+def test_golden_output_bytes(tmp_path, bob_movie_instance):
+    # Pins every byte a rex_got run writes: predictions, report and each trace,
+    # including its thought graph (or "graph": null for a failed instance).
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus(name="fig1", instances=(bob_movie_instance,)), corpus_path)
+    scripts_path = write_scripts_file(
+        tmp_path / "scripts.json", rex_script_entries(bob_movie_instance)
+    )
+    assert main(run_args(corpus_path, scripts_path, tmp_path / "one")) == 0
+    assert _output_digests(tmp_path / "one") == GOLDEN_BOB_MOVIE
+
+    assert main(run_args(corpus_path, scripts_path, tmp_path / "two", "--repeat", "2")) == 0
+    assert _output_digests(tmp_path / "two") == GOLDEN_BOB_MOVIE_REPEAT_2
+    trace = "traces/bob-movie-1.json"
+    assert GOLDEN_BOB_MOVIE_REPEAT_2[trace] == GOLDEN_BOB_MOVIE[trace]
+
+    other = make_instance("uncovered", m=3, gold=(1,))
+    partial_path = tmp_path / "two.jsonl"
+    save_corpus(Corpus(name="two", instances=(bob_movie_instance, other)), partial_path)
+    assert main(run_args(partial_path, scripts_path, tmp_path / "partial")) == 1
+    assert json.loads((tmp_path / "partial/traces/uncovered.json").read_text())["graph"] is None
+    assert _output_digests(tmp_path / "partial") == GOLDEN_PARTIAL_FAILURE
