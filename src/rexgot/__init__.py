@@ -33,7 +33,6 @@ from .prompts import PromptKind, render_prompt
 from .reasoner import (
     ReasonerConfig,
     ReasoningPath,
-    ThoughtGraph,
     TieBreak,
     VoteKind,
     VotePolicy,
@@ -63,7 +62,6 @@ __all__ = [
     "RexGotError",
     "ScriptedBackend",
     "Strategy",
-    "ThoughtGraph",
     "TieBreak",
     "Utterance",
     "Verdict",

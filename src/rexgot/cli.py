@@ -162,11 +162,10 @@ def _load_scripted(path: str) -> ScriptedBackend:
 
 def _predict_one(
     instance: MCQInstance, config: RunConfig, backend: Backend, call_pool: Executor
-) -> tuple[Prediction, dict, bool]:
+) -> tuple[Prediction, bool]:
     strategy = Strategy(config.strategy)
     try:
-        prediction = run_strategy(instance, strategy, backend, config.reasoner_config(), call_pool)
-        failed = False
+        return run_strategy(instance, strategy, backend, config.reasoner_config(), call_pool), False
     except BackendError:
         # Long batch runs survive per-instance faults: record a degenerate
         # full-set prediction and count the failure in the exit summary.
@@ -176,11 +175,7 @@ def _predict_one(
             chosen=frozenset(range(instance.m)),
             fallback_used=True,
         )
-        failed = True
-    graph = None
-    if strategy is Strategy.REX_GOT and prediction.paths:
-        graph = build_graph(instance, prediction.paths)
-    return prediction, build_trace(instance, prediction, graph), failed
+        return prediction, True
 
 
 def _run_once(
@@ -189,16 +184,13 @@ def _run_once(
     backend: Backend,
     instance_pool: Executor,
     call_pool: Executor,
-) -> tuple[list[Prediction], list[dict], int]:
+) -> tuple[list[Prediction], int]:
     futures = {
         instance.id: instance_pool.submit(_predict_one, instance, config, backend, call_pool)
         for instance in corpus.instances
     }
     ordered = [futures[iid].result() for iid in sorted(futures)]
-    predictions = [r[0] for r in ordered]
-    traces = [r[1] for r in ordered]
-    failures = sum(1 for r in ordered if r[2])
-    return predictions, traces, failures
+    return [r[0] for r in ordered], sum(1 for r in ordered if r[1])
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -243,7 +235,6 @@ def cmd_run(config: RunConfig) -> int:
 
     reports = []
     first_predictions: list[Prediction] = []
-    first_traces: list[dict] = []
     failures = 0
     # Instances run on one pool, their fanned-out rex_got calls on another:
     # at most K·m calls per instance, so in-flight calls stay <= workers·K·m.
@@ -258,12 +249,12 @@ def cmd_run(config: RunConfig) -> int:
     call_pool = ThreadPoolExecutor(max_workers=call_width)
     try:
         for repeat_index in range(config.repeat):
-            predictions, traces, repeat_failures = _run_once(
+            predictions, repeat_failures = _run_once(
                 corpus, config, backend, instance_pool, call_pool
             )
             reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
             if repeat_index == 0:
-                first_predictions, first_traces = predictions, traces
+                first_predictions = predictions
             failures += repeat_failures
     finally:
         # Instances first: a running instance may still wait on its calls.
@@ -297,9 +288,14 @@ def cmd_run(config: RunConfig) -> int:
             )
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
-    for trace in first_traces:
-        (traces_dir / f"{trace['instance_id']}.json").write_text(
-            json.dumps(trace, sort_keys=True, indent=2) + "\n", "utf-8"
+    instances = {instance.id: instance for instance in corpus.instances}
+    for prediction in first_predictions:
+        instance = instances[prediction.instance_id]
+        # Only rex_got predictions carry paths; a failed instance has none.
+        graph = build_graph(instance, prediction.paths) if prediction.paths else None
+        (traces_dir / f"{instance.id}.json").write_text(
+            json.dumps(build_trace(instance, prediction, graph), sort_keys=True, indent=2) + "\n",
+            "utf-8",
         )
     write_report_files(report, out_dir)
 

@@ -4,16 +4,17 @@ Every parser tries a trailing directive line first ("Excluded:",
 "Verdict:", "Answer:", "Pick:"/"Remove:") and only then falls back to
 heuristics over the prose, so the harness stays usable with models that
 ignore format instructions. Letter matching is case-insensitive and
-tolerates "option C", "(C)", "C." and "C)". Reasons are kept verbatim:
-they are re-injected into later prompts and must not be rewritten.
+tolerates "option C", "(C)", "C." and "C)". Parsers only read: each
+result keeps the completion verbatim as ``raw_text``, and it is that text,
+not anything parsed from it, that later prompts re-inject.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import RexGotError, index_to_letter, letter_to_index
 
@@ -28,24 +29,18 @@ class EmptySet(RexGotError):
 
 @dataclass(frozen=True)
 class ExclusionResult:
-    """Options judged implausible in the exclusion step, with verbatim reasons.
+    """Options judged implausible in the exclusion step, and the text that says so.
 
-    ``reasons`` only carries keys that are in ``excluded``; ``excluded``
-    may be empty. ``parse_failed`` marks the empty fallback recorded after
-    a completion stayed unparseable through its retry.
+    ``excluded`` may be empty. ``parse_failed`` marks the empty fallback
+    recorded after a completion stayed unparseable through its retry.
     """
 
     excluded: frozenset[int]
-    reasons: Mapping[int, str] = field(default_factory=dict)
     raw_text: str = ""
     parse_failed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "excluded", frozenset(self.excluded))
-        object.__setattr__(self, "reasons", dict(self.reasons))
-        extra = set(self.reasons) - set(self.excluded)
-        if extra:
-            raise ValueError(f"reasons carry non-excluded indices {sorted(extra)}")
 
 
 class Verdict(Enum):
@@ -56,14 +51,12 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class OptionVerdict:
-    """Per-option judgment from the analysis step.
+    """Per-option judgment from the analysis step, and the text that gives it.
 
     ABSTAIN is only recorded when parsing failed after retries.
     """
 
-    option_index: int
     verdict: Verdict
-    reason: str = ""
     raw_text: str = ""
 
 
@@ -94,14 +87,9 @@ def _directive_payload(text: str, name: str) -> str | None:
     return None
 
 
-def _strip_directive_lines(text: str, *names: str) -> str:
-    patterns = [re.compile(rf"^\s*{n}\s*:", re.IGNORECASE) for n in names]
-    kept = [
-        line
-        for line in text.splitlines()
-        if not any(p.match(line) for p in patterns)
-    ]
-    return "\n".join(kept)
+def _strip_directive_lines(text: str, name: str) -> str:
+    pattern = re.compile(rf"^\s*{name}\s*:", re.IGNORECASE)
+    return "\n".join(line for line in text.splitlines() if not pattern.match(line))
 
 
 def _letters_in(content: str, m: int, pattern: re.Pattern[str]) -> list[int]:
@@ -119,7 +107,7 @@ def _sentences(text: str) -> list[str]:
 
 
 def parse_exclusions(text: str, m: int) -> ExclusionResult:
-    """Recover the excluded option set (and per-option reasons) from text.
+    """Recover the excluded option set from text.
 
     Priority: (1) a trailing "Excluded: ..." line parsed as letters;
     (2) letter mentions adjacent to negative predicates in the prose.
@@ -130,21 +118,18 @@ def parse_exclusions(text: str, m: int) -> ExclusionResult:
     if m < 2:
         raise ValueError("m must be >= 2")
     payload = _directive_payload(text, "excluded")
-    body = _strip_directive_lines(text, "excluded")
     if payload is not None:
         if _NONE_WORD.search(payload):
-            return ExclusionResult(excluded=frozenset(), reasons={}, raw_text=text)
+            return ExclusionResult(excluded=frozenset(), raw_text=text)
         excluded = _letters_in(payload, m, _DIRECTIVE_LETTER)
         if excluded:
-            reasons = _harvest_reasons(body, excluded, m)
-            return ExclusionResult(excluded=frozenset(excluded), reasons=reasons, raw_text=text)
+            return ExclusionResult(excluded=frozenset(excluded), raw_text=text)
         # Fall through: the directive payload carried no usable letters.
-    excluded = _scan_negative_mentions(body, m)
+    excluded = _scan_negative_mentions(_strip_directive_lines(text, "excluded"), m)
     if excluded:
-        reasons = _harvest_reasons(body, excluded, m)
-        return ExclusionResult(excluded=frozenset(excluded), reasons=reasons, raw_text=text)
+        return ExclusionResult(excluded=frozenset(excluded), raw_text=text)
     if _NONE_WORD.search(text):
-        return ExclusionResult(excluded=frozenset(), reasons={}, raw_text=text)
+        return ExclusionResult(excluded=frozenset(), raw_text=text)
     raise Unparseable(f"no exclusion found in: {text[:120]!r}")
 
 
@@ -160,39 +145,22 @@ def _scan_negative_mentions(body: str, m: int) -> list[int]:
     return found
 
 
-def _harvest_reasons(body: str, excluded: Iterable[int], m: int) -> dict[int, str]:
-    reasons: dict[int, str] = {}
-    wanted = set(excluded)
-    for sentence in _sentences(body):
-        lowered = sentence.lower()
-        if not any(p in lowered for p in _NEGATIVE_PREDICATES):
-            continue
-        for index in _letters_in(sentence, m, _PROSE_LETTER):
-            if index in wanted and index not in reasons:
-                reasons[index] = sentence.strip()
-    return reasons
-
-
-def parse_verdict(text: str) -> tuple[Verdict, str]:
-    """Recover a (verdict, reason) pair from one option's analysis text.
+def parse_verdict(text: str) -> Verdict:
+    """Recover the verdict from one option's analysis text.
 
     Priority: (1) a trailing "Verdict: ..." line; (2) the first sentence
     containing "reasonable"/"unreasonable", with negation handling
-    ("not reasonable" counts as unreasonable). The reason is the
-    remaining text, verbatim.
+    ("not reasonable" counts as unreasonable).
     """
     payload = _directive_payload(text, "verdict")
     if payload is not None:
         verdict = _read_verdict_word(payload)
         if verdict is not None:
-            reason = _strip_directive_lines(text, "verdict").strip()
-            return verdict, reason
-    sentences = _sentences(text)
-    for i, sentence in enumerate(sentences):
+            return verdict
+    for sentence in _sentences(text):
         verdict = _read_verdict_word(sentence)
         if verdict is not None:
-            rest = sentences[:i] + sentences[i + 1 :]
-            return verdict, " ".join(s.strip() for s in rest).strip()
+            return verdict
     raise Unparseable(f"no verdict found in: {text[:120]!r}")
 
 

@@ -118,66 +118,14 @@ class ReasoningPath:
         return len(self.a2)
 
 
-class NodeKind(Enum):
-    CENTRAL = "central"
-    OPTION = "option"
-    EXCLUSION = "exclusion"
-    VERDICT = "verdict"
-    ANSWER = "answer"
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    node_id: str
-    kind: NodeKind
-    text: str
-    path_id: int | None = None
-    option_index: int | None = None
-
-
-@dataclass(frozen=True)
-class ThoughtGraph:
-    """DAG of reasoning nodes holding K sampled paths.
+def build_graph(instance: MCQInstance, paths: Sequence[ReasoningPath]) -> dict:
+    """The thought graph of an instance as a JSON-ready ``{"nodes", "edges"}`` dict.
 
     One central node, one node per option, and per path one exclusion
     node, one verdict node per option, and one answer node:
-    ``1 + m + K*(m + 2)`` nodes in total.
+    ``1 + m + K*(m + 2)`` nodes in total. Each edge points from a node
+    to one that builds on it.
     """
-
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[tuple[str, str], ...]
-    paths: tuple[ReasoningPath, ...]
-
-    def node(self, node_id: str) -> GraphNode:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
-
-    def predecessors(self, node_id: str) -> list[str]:
-        return [src for src, dst in self.edges if dst == node_id]
-
-    def successors(self, node_id: str) -> list[str]:
-        return [dst for src, dst in self.edges if src == node_id]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "id": n.node_id,
-                    "kind": n.kind.value,
-                    "text": n.text,
-                    "path_id": n.path_id,
-                    "option_index": n.option_index,
-                }
-                for n in self.nodes
-            ],
-            "edges": [{"src": s, "dst": d} for s, d in self.edges],
-        }
-
-
-def build_graph(instance: MCQInstance, paths: Sequence[ReasoningPath]) -> ThoughtGraph:
-    """Assemble the thought graph for an instance from its sampled paths."""
     if not paths:
         raise NoPaths("cannot build a graph without paths")
     seen_ids = [p.path_id for p in paths]
@@ -189,35 +137,33 @@ def build_graph(instance: MCQInstance, paths: Sequence[ReasoningPath]) -> Though
                 f"path {path.path_id} has {path.m} options, instance has {instance.m}"
             )
 
-    nodes = [GraphNode("central", NodeKind.CENTRAL, instance.question)]
+    nodes = [_node("central", "central", instance.question)]
     edges: list[tuple[str, str]] = []
     for i, text in enumerate(instance.options):
-        nodes.append(GraphNode(f"option:{i}", NodeKind.OPTION, text, option_index=i))
+        nodes.append(_node(f"option:{i}", "option", text, option_index=i))
         edges.append(("central", f"option:{i}"))
     for path in paths:
         p = path.path_id
         excl_id = f"path{p}:exclusion"
-        nodes.append(GraphNode(excl_id, NodeKind.EXCLUSION, path.a1.raw_text, path_id=p))
+        nodes.append(_node(excl_id, "exclusion", path.a1.raw_text, path_id=p))
         edges.append(("central", excl_id))
         answer_id = f"path{p}:answer"
         for i in range(instance.m):
             verdict_id = f"path{p}:verdict:{i}"
-            verdict = path.a2[i]
-            nodes.append(
-                GraphNode(
-                    verdict_id,
-                    NodeKind.VERDICT,
-                    verdict.raw_text,
-                    path_id=p,
-                    option_index=i,
-                )
-            )
+            verdict_text = path.a2[i].raw_text
+            nodes.append(_node(verdict_id, "verdict", verdict_text, path_id=p, option_index=i))
             edges.append((f"option:{i}", verdict_id))
             edges.append((excl_id, verdict_id))
             edges.append((verdict_id, answer_id))
         answer_text = ", ".join(index_to_letter(i) for i in sorted(path.a3)) or "none"
-        nodes.append(GraphNode(answer_id, NodeKind.ANSWER, answer_text, path_id=p))
-    return ThoughtGraph(nodes=tuple(nodes), edges=tuple(edges), paths=tuple(paths))
+        nodes.append(_node(answer_id, "answer", answer_text, path_id=p))
+    return {"nodes": nodes, "edges": [{"src": s, "dst": d} for s, d in edges]}
+
+
+def _node(
+    id_: str, kind: str, text: str, path_id: int | None = None, option_index: int | None = None
+) -> dict:
+    return {"id": id_, "kind": kind, "text": text, "path_id": path_id, "option_index": option_index}
 
 
 def _tally_and_choose(
@@ -359,7 +305,7 @@ def run_step2(
     verdicts: dict[int, OptionVerdict] = {}
     for i in range(instance.m):
         prompt = _verdict_prompt(instance, a1, i, config)
-        verdicts[i] = _verdict_with_retry(prompt, i, instance.id, backend, config)
+        verdicts[i] = _verdict_with_retry(prompt, instance.id, backend, config)
     return verdicts
 
 
@@ -376,13 +322,12 @@ def _verdict_prompt(
 
 
 def _verdict_with_retry(
-    prompt: str, option_index: int, instance_id: str, backend: Backend, config: ReasonerConfig
+    prompt: str, instance_id: str, backend: Backend, config: ReasonerConfig
 ) -> OptionVerdict:
-    parsed, text = _ask(
+    verdict, text = _ask(
         prompt, parse_verdict, config.temperature_step2, instance_id, backend, config
     )
-    verdict, reason = parsed if parsed is not None else (Verdict.ABSTAIN, "")
-    return OptionVerdict(option_index=option_index, verdict=verdict, reason=reason, raw_text=text)
+    return OptionVerdict(verdict=verdict if verdict is not None else Verdict.ABSTAIN, raw_text=text)
 
 
 def run_step3(
@@ -482,8 +427,11 @@ def _pick_loop(
             fallback = True
             break
         pick, more = parsed
-        if pick not in marked:
-            marked.append(pick)
+        # A repeated pick leaves the next prompt unchanged, so asking again
+        # would at best repeat the same answer.
+        if pick in marked:
+            break
+        marked.append(pick)
         if not more or len(marked) == instance.m:
             break
     if kind is PromptKind.FORWARD_PICK:
@@ -543,7 +491,7 @@ def _rex_got(
         for path_id, a1 in enumerate(exclusions):
             for i in range(instance.m):
                 prompt = _verdict_prompt(instance, a1, i, config)
-                future = pool.submit(_verdict_with_retry, prompt, i, instance.id, backend, config)
+                future = pool.submit(_verdict_with_retry, prompt, instance.id, backend, config)
                 pending[future] = (path_id, i)
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -588,10 +536,11 @@ def _rex_got(
     )
 
 
-def build_trace(
-    instance: MCQInstance, prediction: Prediction, graph: ThoughtGraph | None = None
-) -> dict:
-    """One JSON-ready trace document per prediction, for offline inspection."""
+def build_trace(instance: MCQInstance, prediction: Prediction, graph: dict | None = None) -> dict:
+    """One JSON-ready trace document per prediction, for offline inspection.
+
+    ``graph`` is the instance's :func:`build_graph` dict, embedded as is.
+    """
     trace: dict = {
         "instance_id": instance.id,
         "strategy": prediction.strategy.value,
@@ -612,6 +561,6 @@ def build_trace(
             }
             for p in prediction.paths
         ],
-        "graph": graph.to_json_dict() if graph is not None else None,
+        "graph": graph,
     }
     return trace

@@ -28,7 +28,7 @@ from test_parsing import (
     VERDICT_TEMPLATES_REASONABLE,
     VERDICT_TEMPLATES_UNREASONABLE,
 )
-from test_reasoner import CountingWrapper, make_path, path_lists
+from test_reasoner import CountingWrapper, make_path, path_lists, verdict_options_into
 from rexgot.backend import ScriptedBackend
 from rexgot.cli import main
 from rexgot.dataset import Corpus, save_corpus
@@ -44,7 +44,6 @@ from rexgot.parsing import (
     parse_verdict,
 )
 from rexgot.reasoner import (
-    NodeKind,
     TieBreak,
     VoteKind,
     VotePolicy,
@@ -201,7 +200,7 @@ def test_criterion_4_parser_round_trip_and_fuzz():
     verdict_cases = [(t(), Verdict.REASONABLE) for t in VERDICT_TEMPLATES_REASONABLE * 10]
     verdict_cases += [(t(), Verdict.UNREASONABLE) for t in VERDICT_TEMPLATES_UNREASONABLE * 10]
     for text, expected in verdict_cases:
-        assert parse_verdict(text)[0] is expected
+        assert parse_verdict(text) is expected
 
     # 10k random UTF-8 inputs: typed errors only, never crashes, indices < m.
     rng = random.Random(97)
@@ -297,14 +296,9 @@ def test_criterion_6_graph_shape_random_m_k():
             for pid in range(k)
         ]
         graph = build_graph(instance, paths)
-        assert len(graph.nodes) == 1 + m + k * (m + 2)
+        assert len(graph["nodes"]) == 1 + m + k * (m + 2)
         for path in paths:
-            verdict_ids = [
-                nid
-                for nid in graph.predecessors(f"path{path.path_id}:answer")
-                if graph.node(nid).kind is NodeKind.VERDICT
-            ]
-            touched = sorted(graph.node(nid).option_index for nid in verdict_ids)
+            touched = verdict_options_into(graph, f"path{path.path_id}:answer")
             assert touched == list(range(m))
     print(f"{PASS}: criterion 6 (node count 1 + m + K*(m+2) and per-path traversal)")
 

@@ -67,19 +67,18 @@ def test_exclusion_prose_fallback():
     text = "Option B is unreasonable because the speaker already left."
     result = parse_exclusions(text, m=4)
     assert result.excluded == frozenset({1})
-    assert "unreasonable" in result.reasons[1]
+    assert result.raw_text == text
 
 
-def test_exclusion_reasons_come_from_matching_sentence():
+def test_exclusion_directive_wins_and_reasons_stay_in_raw_text():
     text = (
         "Option C is unreasonable because Bob was at work. "
-        "Option D is incorrect because nothing supports it.\nExcluded: C, D"
+        "Option B is incorrect because nothing supports it.\nExcluded: C, D"
     )
     result = parse_exclusions(text, m=5)
     assert result.excluded == frozenset({2, 3})
-    assert "Bob was at work" in result.reasons[2]
-    assert "nothing supports it" in result.reasons[3]
-    assert set(result.reasons) <= set(result.excluded)
+    assert result.raw_text == text
+    assert not result.parse_failed
 
 
 def test_exclusion_letters_beyond_m_ignored():
@@ -112,22 +111,21 @@ def test_exclusion_templated_recovery_20_cases():
 
 
 def test_verdict_directive_line():
-    verdict, reason = parse_verdict("Good fit with the context.\nVerdict: unreasonable")
+    # The directive wins over prose that would read the other way.
+    verdict = parse_verdict("This looks reasonable at first.\nVerdict: unreasonable")
     assert verdict is Verdict.UNREASONABLE
-    assert reason == "Good fit with the context."
 
 
 def test_verdict_negation_rule():
-    verdict, _ = parse_verdict("This is not reasonable because nothing supports it.")
+    verdict = parse_verdict("This is not reasonable because nothing supports it.")
     assert verdict is Verdict.UNREASONABLE
 
 
 def test_verdict_plain_reasonable_sentence():
-    verdict, reason = parse_verdict(
+    verdict = parse_verdict(
         "The timing matches. It is reasonable given the dialogue. More detail here."
     )
     assert verdict is Verdict.REASONABLE
-    assert "timing matches" in reason
 
 
 def test_verdict_unparseable():
@@ -143,8 +141,7 @@ def test_verdict_templated_recovery_30_cases():
         cases.append((template(), Verdict.UNREASONABLE))
     assert len(cases) >= 30
     for text, expected in cases[:30]:
-        verdict, _ = parse_verdict(text)
-        assert verdict is expected, text
+        assert parse_verdict(text) is expected, text
 
 
 def test_final_set_directive():
@@ -216,11 +213,6 @@ def test_parse_remove_directive():
 def test_parse_pick_unparseable():
     with pytest.raises(Unparseable):
         parse_pick("no letters here at all, sorry", m=4)
-
-
-def test_exclusion_result_rejects_reasons_outside_excluded():
-    with pytest.raises(ValueError):
-        ExclusionResult(excluded=frozenset({1}), reasons={2: "nope"})
 
 
 @given(st.text(max_size=400), st.integers(min_value=2, max_value=6))

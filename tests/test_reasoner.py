@@ -22,7 +22,6 @@ from rexgot.parsing import ExclusionResult, OptionVerdict, Verdict
 from rexgot.prompts import PromptKind, render_prompt
 from rexgot.reasoner import (
     InstanceBackendError,
-    NodeKind,
     NoPaths,
     ReasonerConfig,
     ReasoningPath,
@@ -40,12 +39,9 @@ from rexgot.reasoner import (
 
 
 def make_path(path_id, a3, m, degenerate=False):
-    a1 = ExclusionResult(excluded=frozenset(), reasons={}, raw_text="")
+    a1 = ExclusionResult(excluded=frozenset(), raw_text="")
     a2 = {
-        i: OptionVerdict(
-            option_index=i,
-            verdict=Verdict.REASONABLE if i in a3 else Verdict.UNREASONABLE,
-        )
+        i: OptionVerdict(verdict=Verdict.REASONABLE if i in a3 else Verdict.UNREASONABLE)
         for i in range(m)
     }
     return ReasoningPath(path_id=path_id, a1=a1, a2=a2, a3=frozenset(a3), degenerate=degenerate)
@@ -197,16 +193,26 @@ def test_vote_never_returns_empty(paths):
 # --- graph ----------------------------------------------------------------
 
 
+def verdict_options_into(graph, node_id):
+    """Option indices of the verdict nodes with an edge into ``node_id``."""
+    nodes = {n["id"]: n for n in graph["nodes"]}
+    return sorted(
+        nodes[e["src"]]["option_index"]
+        for e in graph["edges"]
+        if e["dst"] == node_id and nodes[e["src"]]["kind"] == "verdict"
+    )
+
+
 def test_graph_node_count_m5_k3(bob_movie_instance):
     paths = [make_path(i, {0, 1, 4}, m=5) for i in range(3)]
     graph = build_graph(bob_movie_instance, paths)
-    assert len(graph.nodes) == 27  # 1 + 5 + 3 * (5 + 2)
+    assert len(graph["nodes"]) == 27  # 1 + 5 + 3 * (5 + 2)
 
 
 def test_graph_node_count_smallest_case():
     instance = make_instance(m=2)
     graph = build_graph(instance, [make_path(0, {0}, m=2)])
-    assert len(graph.nodes) == 7
+    assert len(graph["nodes"]) == 7
 
 
 def test_graph_duplicate_path_ids_rejected(bob_movie_instance):
@@ -219,20 +225,14 @@ def test_graph_each_path_touches_one_verdict_per_option(bob_movie_instance):
     paths = [make_path(i, {0, 1}, m=5) for i in range(3)]
     graph = build_graph(bob_movie_instance, paths)
     for path in paths:
-        answer_id = f"path{path.path_id}:answer"
-        verdict_ids = [
-            nid for nid in graph.predecessors(answer_id)
-            if graph.node(nid).kind is NodeKind.VERDICT
-        ]
-        options_touched = sorted(graph.node(v).option_index for v in verdict_ids)
-        assert options_touched == list(range(5))
+        assert verdict_options_into(graph, f"path{path.path_id}:answer") == list(range(5))
 
 
 def test_graph_has_one_central_and_m_option_nodes(bob_movie_instance):
     graph = build_graph(bob_movie_instance, [make_path(0, {0}, m=5)])
-    kinds = [n.kind for n in graph.nodes]
-    assert kinds.count(NodeKind.CENTRAL) == 1
-    assert kinds.count(NodeKind.OPTION) == 5
+    kinds = [n["kind"] for n in graph["nodes"]]
+    assert kinds.count("central") == 1
+    assert kinds.count("option") == 5
 
 
 # --- step functions over scripted backends ---------------------------------
@@ -294,7 +294,7 @@ def test_step3_bob_movie_answer(bob_movie_instance):
     backend = scripted_rex_backend(bob_movie_instance)
     a1 = ExclusionResult(excluded=frozenset({2, 3}), raw_text=BOB_EXCLUSION_TEXT)
     a2 = {
-        i: OptionVerdict(i, Verdict.REASONABLE if i in (0, 1, 4) else Verdict.UNREASONABLE,
+        i: OptionVerdict(Verdict.REASONABLE if i in (0, 1, 4) else Verdict.UNREASONABLE,
                          raw_text=BOB_VERDICT_TEXTS[i])
         for i in range(5)
     }
@@ -306,7 +306,7 @@ def test_step3_bob_movie_answer(bob_movie_instance):
 def test_step3_singleton_answer():
     instance = make_instance(m=3)
     a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    a2 = {i: OptionVerdict(i, Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
+    a2 = {i: OptionVerdict(Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
     prompt = render_prompt(
         instance, PromptKind.STEP3_COMBINE,
         a1=a1.raw_text, a2={i: a2[i].raw_text for i in range(3)},
@@ -322,8 +322,8 @@ def test_step3_unparseable_falls_back_to_reasonable_verdicts():
     instance = make_instance(m=2)
     a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
     a2 = {
-        0: OptionVerdict(0, Verdict.REASONABLE, raw_text="fine"),
-        1: OptionVerdict(1, Verdict.UNREASONABLE, raw_text="bad"),
+        0: OptionVerdict(Verdict.REASONABLE, raw_text="fine"),
+        1: OptionVerdict(Verdict.UNREASONABLE, raw_text="bad"),
     }
     backend = ScriptedBackend(default_responses=["garbled nonsense output"])
     chosen, fallback = run_step3(instance, a1, a2, backend, ReasonerConfig())
@@ -334,7 +334,7 @@ def test_step3_unparseable_falls_back_to_reasonable_verdicts():
 def test_step3_fallback_chain_bottoms_out():
     instance = make_instance(m=2)
     a1 = ExclusionResult(excluded=frozenset({0, 1}), raw_text="Excluded: A, B")
-    a2 = {i: OptionVerdict(i, Verdict.UNREASONABLE, raw_text="no") for i in range(2)}
+    a2 = {i: OptionVerdict(Verdict.UNREASONABLE, raw_text="no") for i in range(2)}
     backend = ScriptedBackend(default_responses=["garbled"])
     chosen, fallback = run_step3(instance, a1, a2, backend, ReasonerConfig())
     assert chosen == frozenset({0})
@@ -428,6 +428,15 @@ def test_backward_adversarial_never_stops_terminates_within_m(bob_movie_instance
     prediction = run_strategy(bob_movie_instance, Strategy.BACKWARD, backend)
     assert prediction.chosen == frozenset({0, 2, 3, 4})
     assert len(backend.requests) <= bob_movie_instance.m
+
+
+def test_forward_repeated_pick_ends_the_loop(bob_movie_instance):
+    # The second prompt equals the first, so asking a third time is wasted.
+    backend = CountingWrapper(ScriptedBackend(default_responses=["Pick: A\nMore: yes"]))
+    prediction = run_strategy(bob_movie_instance, Strategy.FORWARD, backend)
+    assert len(backend.requests) == 2
+    assert prediction.chosen == frozenset({0})
+    assert not prediction.fallback_used
 
 
 def test_backward_removing_everything_rescues():
@@ -603,7 +612,7 @@ def test_step1_garbage_sample_gets_one_single_retry_in_sample_order(bob_movie_in
 def test_step3_garbage_then_answer_takes_the_retry():
     instance = make_instance(m=3)
     a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    a2 = {i: OptionVerdict(i, Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
+    a2 = {i: OptionVerdict(Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
     backend = CountingWrapper(QueuedBackend(["garbled nonsense output", "Answer: B"]))
     assert run_step3(instance, a1, a2, backend, RETRY_CONFIG) == (frozenset({1}), False)
     assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.4), (1, 0.4)]
