@@ -100,8 +100,6 @@ def load_corpus(path: str | Path, format: str = CANONICAL, name: str | None = No
             if format == CICERO_RELEASE:
                 try:
                     record = _adapt_release_record(record)
-                except ValidationFailed:
-                    raise
                 except (RexGotError, KeyError, TypeError, ValueError) as exc:
                     raise ValidationFailed(line_no, exc) from exc
             try:
