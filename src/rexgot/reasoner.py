@@ -427,8 +427,8 @@ def _pick_loop(
             fallback = True
             break
         pick, more = parsed
-        # A repeated pick leaves the next prompt unchanged, so asking again
-        # would at best repeat the same answer.
+        # A repeated pick leaves the next prompt unchanged, and at the default
+        # temperature 0 its reply would repeat too; stop as "More: no" would.
         if pick in marked:
             break
         marked.append(pick)

@@ -431,7 +431,7 @@ def test_backward_adversarial_never_stops_terminates_within_m(bob_movie_instance
 
 
 def test_forward_repeated_pick_ends_the_loop(bob_movie_instance):
-    # The second prompt equals the first, so asking a third time is wasted.
+    # Re-picking A leaves the next prompt equal to the second one, so the loop ends.
     backend = CountingWrapper(ScriptedBackend(default_responses=["Pick: A\nMore: yes"]))
     prediction = run_strategy(bob_movie_instance, Strategy.FORWARD, backend)
     assert len(backend.requests) == 2
