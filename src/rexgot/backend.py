@@ -512,14 +512,13 @@ class HTTPBackend:
     def __init__(
         self,
         base_url: str,
-        api_key_env: str = API_KEY_ENV,
         timeout: float = 120.0,
         max_retries: int = 3,
         transport: Transport | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
-        self.api_key = os.environ.get(api_key_env, "")
+        self.api_key = os.environ.get(API_KEY_ENV, "")
         self.timeout = timeout
         self.max_retries = max_retries
         self._transport = transport or KeepAliveTransport()

@@ -32,7 +32,7 @@ from .backend import (
 )
 from .dataset import FORMATS, Corpus, corpus_stats, load_corpus
 from .evaluation import BucketScore, EvalReport, compare_report, evaluate, write_report_files
-from .model import MCQInstance, Prediction, RexGotError, Strategy, index_to_letter
+from .model import MCQInstance, Prediction, RexGotError, Strategy
 from .prompts import template_version
 from .reasoner import (
     ReasonerConfig,
@@ -41,6 +41,7 @@ from .reasoner import (
     VotePolicy,
     build_graph,
     build_trace,
+    prediction_record,
     run_strategy,
 )
 
@@ -267,25 +268,8 @@ def cmd_run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "predictions.jsonl").open("w", encoding="utf-8") as fh:
         for prediction in first_predictions:
-            fh.write(
-                json.dumps(
-                    {
-                        "instance_id": prediction.instance_id,
-                        "strategy": prediction.strategy.value,
-                        "chosen": sorted(prediction.chosen),
-                        "chosen_labels": [
-                            index_to_letter(i) for i in sorted(prediction.chosen)
-                        ],
-                        "vote_tally": {
-                            str(i): v for i, v in sorted(prediction.vote_tally.items())
-                        },
-                        "fallback_used": prediction.fallback_used,
-                        "n_paths": len(prediction.paths),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {**prediction_record(prediction), "n_paths": len(prediction.paths)}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
     instances = {instance.id: instance for instance in corpus.instances}

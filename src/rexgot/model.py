@@ -141,10 +141,6 @@ class MCQInstance:
                 )
 
     @property
-    def n(self) -> int:
-        return len(self.dialogue)
-
-    @property
     def m(self) -> int:
         return len(self.options)
 

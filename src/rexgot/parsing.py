@@ -14,9 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
-from .model import RexGotError, index_to_letter, letter_to_index
+from .model import RexGotError, letter_to_index
 
 
 class Unparseable(RexGotError):
@@ -204,14 +203,6 @@ def parse_final_set(text: str, m: int) -> frozenset[int]:
     if not chosen:
         raise EmptySet(f"no valid letter after {last.group(0)!r}: {tail[:80]!r}")
     return frozenset(chosen)
-
-
-def format_answer_line(indices: Iterable[int]) -> str:
-    """Render an option set as the directive line the parsers round-trip."""
-    ordered = sorted(set(indices))
-    if not ordered:
-        return "Answer: none"
-    return "Answer: " + ", ".join(index_to_letter(i) for i in ordered)
 
 
 def parse_pick(text: str, m: int, verb: str = "pick") -> tuple[int, bool]:

@@ -85,7 +85,6 @@ class ReasonerConfig:
     temperature_step2: float = 0.0
     temperature_step3: float = 0.0
     max_tokens: int = 512
-    stop_sequences: tuple[str, ...] = ()
     vote_policy: VotePolicy = field(default_factory=VotePolicy)
     max_prompt_tokens: int | None = None
 
@@ -227,7 +226,6 @@ def _request(prompt: str, config: ReasonerConfig, n: int, temperature: float) ->
         temperature=temperature,
         max_tokens=config.max_tokens,
         model_name=config.model_name,
-        stop_sequences=config.stop_sequences,
     )
 
 
@@ -290,77 +288,14 @@ def run_step1(
     return results
 
 
-def run_step2(
-    instance: MCQInstance,
-    a1: ExclusionResult,
-    backend: Backend,
-    config: ReasonerConfig,
-) -> dict[int, OptionVerdict]:
-    """Ask for a verdict on every option, one prompt per option.
-
-    Options excluded in step 1 are still analysed: the exclusion text
-    only conditions the context. A verdict that stays unparseable after
-    one retry is recorded as an abstention.
-    """
-    verdicts: dict[int, OptionVerdict] = {}
-    for i in range(instance.m):
-        prompt = _verdict_prompt(instance, a1, i, config)
-        verdicts[i] = _verdict_with_retry(prompt, instance.id, backend, config)
-    return verdicts
-
-
-def _verdict_prompt(
-    instance: MCQInstance, a1: ExclusionResult, option_index: int, config: ReasonerConfig
-) -> str:
-    return render_prompt(
-        instance,
-        PromptKind.STEP2_VERDICT,
-        a1=a1.raw_text,
-        option_index=option_index,
-        max_prompt_tokens=config.max_prompt_tokens,
-    )
-
-
 def _verdict_with_retry(
     prompt: str, instance_id: str, backend: Backend, config: ReasonerConfig
 ) -> OptionVerdict:
+    """One option's step-2 verdict; unparseable after one retry, it abstains."""
     verdict, text = _ask(
         prompt, parse_verdict, config.temperature_step2, instance_id, backend, config
     )
     return OptionVerdict(verdict=verdict if verdict is not None else Verdict.ABSTAIN, raw_text=text)
-
-
-def run_step3(
-    instance: MCQInstance,
-    a1: ExclusionResult,
-    a2: Mapping[int, OptionVerdict],
-    backend: Backend,
-    config: ReasonerConfig,
-) -> tuple[frozenset[int], bool]:
-    """Combine the accumulated analysis into one final option set.
-
-    Returns (option set, fallback flag). When the combining answer stays
-    unparseable or empty after one retry, fall back to the options judged
-    reasonable, then to everything not excluded, then to option A.
-    """
-    if set(a2) != set(range(instance.m)):
-        raise ValueError("step 3 needs one verdict per option")
-    return _combine(_combine_prompt(instance, a1, a2, config), instance, a1, a2, backend, config)
-
-
-def _combine_prompt(
-    instance: MCQInstance,
-    a1: ExclusionResult,
-    a2: Mapping[int, OptionVerdict],
-    config: ReasonerConfig,
-) -> str:
-    return render_prompt(
-        instance,
-        PromptKind.STEP3_COMBINE,
-        a1=a1.raw_text,
-        a2={i: v.raw_text for i, v in a2.items()},
-        max_prompt_tokens=config.max_prompt_tokens,
-    )
 
 
 def _combine(
@@ -371,6 +306,12 @@ def _combine(
     backend: Backend,
     config: ReasonerConfig,
 ) -> tuple[frozenset[int], bool]:
+    """One path's step-3 final set and whether a fallback produced it.
+
+    A combining answer that stays unparseable or empty after one retry
+    falls back to the options judged reasonable, then to everything not
+    excluded, then to option A.
+    """
     chosen, _ = _ask(
         prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3,
         instance.id, backend, config,
@@ -490,7 +431,10 @@ def _rex_got(
     try:
         for path_id, a1 in enumerate(exclusions):
             for i in range(instance.m):
-                prompt = _verdict_prompt(instance, a1, i, config)
+                prompt = render_prompt(
+                    instance, PromptKind.STEP2_VERDICT, a1=a1.raw_text, option_index=i,
+                    max_prompt_tokens=config.max_prompt_tokens,
+                )
                 future = pool.submit(_verdict_with_retry, prompt, instance.id, backend, config)
                 pending[future] = (path_id, i)
         while pending:
@@ -506,7 +450,11 @@ def _rex_got(
                     # rendering at once raised peak memory. Verdicts go in option order.
                     a1 = exclusions[path_id]
                     a2 = verdicts[path_id] = dict(sorted(verdicts[path_id].items()))
-                    prompt = _combine_prompt(instance, a1, a2, config)
+                    prompt = render_prompt(
+                        instance, PromptKind.STEP3_COMBINE, a1=a1.raw_text,
+                        a2={j: v.raw_text for j, v in a2.items()},
+                        max_prompt_tokens=config.max_prompt_tokens,
+                    )
                     future = pool.submit(_combine, prompt, instance, a1, a2, backend, config)
                     pending[future] = (path_id, None)
     finally:
@@ -536,19 +484,26 @@ def _rex_got(
     )
 
 
+def prediction_record(prediction: Prediction) -> dict:
+    """The JSON-ready fields that ``predictions.jsonl`` and the traces share."""
+    return {
+        "instance_id": prediction.instance_id,
+        "strategy": prediction.strategy.value,
+        "chosen": sorted(prediction.chosen),
+        "chosen_labels": [index_to_letter(i) for i in sorted(prediction.chosen)],
+        "vote_tally": {str(i): v for i, v in sorted(prediction.vote_tally.items())},
+        "fallback_used": prediction.fallback_used,
+    }
+
+
 def build_trace(instance: MCQInstance, prediction: Prediction, graph: dict | None = None) -> dict:
     """One JSON-ready trace document per prediction, for offline inspection.
 
     ``graph`` is the instance's :func:`build_graph` dict, embedded as is.
     """
-    trace: dict = {
-        "instance_id": instance.id,
-        "strategy": prediction.strategy.value,
-        "chosen": sorted(prediction.chosen),
-        "chosen_labels": [index_to_letter(i) for i in sorted(prediction.chosen)],
+    return {
+        **prediction_record(prediction),
         "gold": sorted(instance.gold),
-        "vote_tally": {str(i): v for i, v in sorted(prediction.vote_tally.items())},
-        "fallback_used": prediction.fallback_used,
         "paths": [
             {
                 "path_id": p.path_id,
@@ -563,4 +518,3 @@ def build_trace(instance: MCQInstance, prediction: Prediction, graph: dict | Non
         ],
         "graph": graph,
     }
-    return trace

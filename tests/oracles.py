@@ -60,3 +60,9 @@ def oracle_distinct_dialogues(instances) -> int:
     for inst in instances:
         contents.add(tuple((u.speaker, u.text) for u in inst.dialogue))
     return len(contents)
+
+
+def format_answer_line(indices) -> str:
+    """The "Answer:" directive line naming an option set, "Answer: none" when empty."""
+    letters = ", ".join("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[i] for i in sorted(set(indices)))
+    return "Answer: " + (letters or "none")

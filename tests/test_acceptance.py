@@ -22,7 +22,7 @@ from conftest import (
     rex_script_entries,
     write_scripts_file,
 )
-from oracles import oracle_metrics
+from oracles import format_answer_line, oracle_metrics
 from test_parsing import (
     EXCLUSION_TEMPLATES,
     VERDICT_TEMPLATES_REASONABLE,
@@ -38,7 +38,6 @@ from rexgot.parsing import (
     EmptySet,
     Unparseable,
     Verdict,
-    format_answer_line,
     parse_exclusions,
     parse_final_set,
     parse_verdict,

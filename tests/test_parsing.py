@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import format_answer_line
 from rexgot.model import index_to_letter
 from rexgot.parsing import (
     EmptySet,
     ExclusionResult,
     Unparseable,
     Verdict,
-    format_answer_line,
     parse_exclusions,
     parse_final_set,
     parse_pick,

@@ -4,6 +4,7 @@ import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from conftest import (
 from rexgot.backend import Completion, ScriptedBackend, TransportError
 from rexgot.model import Strategy
 from rexgot.parsing import ExclusionResult, OptionVerdict, Verdict
-from rexgot.prompts import PromptKind, render_prompt
+from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER, PromptKind, render_prompt
 from rexgot.reasoner import (
     InstanceBackendError,
     NoPaths,
@@ -31,8 +32,6 @@ from rexgot.reasoner import (
     build_graph,
     build_trace,
     run_step1,
-    run_step2,
-    run_step3,
     run_strategy,
     vote,
 )
@@ -262,83 +261,109 @@ def test_step1_garbage_retries_then_degenerates(bob_movie_instance):
     assert len(wrapper.requests) == 2  # first sample plus one retry
 
 
+def one_path(instance, backend, config=ReasonerConfig()):
+    """Run rex_got with K=1 on a one-worker pool and return its only path.
+
+    The one worker runs the m verdict tasks in option order, each with its
+    retry, and then the step-3 task, so a QueuedBackend sees a fixed order.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        prediction = run_strategy(instance, Strategy.REX_GOT, backend, replace(config, k=1), pool)
+    return prediction.paths[0]
+
+
+def step_requests(requests, step):
+    """The step-2 or step-3 requests among ``requests``, in order."""
+    if step == 3:
+        return [r for r in requests if VERDICTS_HEADER in r.prompt]
+    return [
+        r for r in requests if EXCLUSION_HEADER in r.prompt and VERDICTS_HEADER not in r.prompt
+    ]
+
+
 def test_step2_issues_exactly_m_calls(bob_movie_instance):
     backend = CountingWrapper(scripted_rex_backend(bob_movie_instance))
     a1 = ExclusionResult(excluded=frozenset({2, 3}), raw_text=BOB_EXCLUSION_TEXT)
-    verdicts = run_step2(bob_movie_instance, a1, backend, ReasonerConfig())
-    assert len(backend.requests) == bob_movie_instance.m
-    assert all(req.n_samples == 1 for req in backend.requests)
+    path = one_path(bob_movie_instance, backend)
+    assert path.a1 == a1
+    step2 = step_requests(backend.requests, 2)
+    assert len(step2) == bob_movie_instance.m
+    assert all(req.n_samples == 1 for req in step2)
     expected = {0: Verdict.REASONABLE, 1: Verdict.REASONABLE, 2: Verdict.UNREASONABLE,
                 3: Verdict.UNREASONABLE, 4: Verdict.REASONABLE}
-    assert {i: v.verdict for i, v in verdicts.items()} == expected
+    assert {i: v.verdict for i, v in path.a2.items()} == expected
 
 
 def test_step2_evaluates_excluded_options_too(bob_movie_instance):
-    backend = CountingWrapper(scripted_rex_backend(bob_movie_instance))
-    a1 = ExclusionResult(excluded=frozenset({2, 3}), raw_text=BOB_EXCLUSION_TEXT)
-    verdicts = run_step2(bob_movie_instance, a1, backend, ReasonerConfig())
-    assert set(verdicts) == set(range(5))  # exclusions inform, never prune
+    path = one_path(bob_movie_instance, scripted_rex_backend(bob_movie_instance))
+    assert path.a1.excluded == frozenset({2, 3})
+    assert set(path.a2) == set(range(5))  # exclusions inform, never prune
 
 
 def test_step2_unparseable_twice_abstains():
     instance = make_instance(m=2)
     backend = ScriptedBackend(default_responses=["shrug"])
+    backend.register_script(
+        responses=["Excluded: none"], prompt=render_prompt(instance, PromptKind.STEP1_EXCLUSION)
+    )
     wrapper = CountingWrapper(backend)
-    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    verdicts = run_step2(instance, a1, wrapper, ReasonerConfig())
-    assert all(v.verdict is Verdict.ABSTAIN for v in verdicts.values())
-    assert len(wrapper.requests) == 4  # one try + one retry per option
+    path = one_path(instance, wrapper)
+    assert path.a1 == ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
+    assert all(v.verdict is Verdict.ABSTAIN for v in path.a2.values())
+    assert len(step_requests(wrapper.requests, 2)) == 4  # one try + one retry per option
 
 
 def test_step3_bob_movie_answer(bob_movie_instance):
     backend = scripted_rex_backend(bob_movie_instance)
-    a1 = ExclusionResult(excluded=frozenset({2, 3}), raw_text=BOB_EXCLUSION_TEXT)
-    a2 = {
+    path = one_path(bob_movie_instance, backend)
+    assert path.a1 == ExclusionResult(excluded=frozenset({2, 3}), raw_text=BOB_EXCLUSION_TEXT)
+    assert path.a2 == {
         i: OptionVerdict(Verdict.REASONABLE if i in (0, 1, 4) else Verdict.UNREASONABLE,
                          raw_text=BOB_VERDICT_TEXTS[i])
         for i in range(5)
     }
-    chosen, fallback = run_step3(bob_movie_instance, a1, a2, backend, ReasonerConfig())
-    assert chosen == frozenset({0, 1, 4})
-    assert not fallback
+    assert path.a3 == frozenset({0, 1, 4})
+    assert not path.degenerate
 
 
 def test_step3_singleton_answer():
     instance = make_instance(m=3)
-    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    a2 = {i: OptionVerdict(Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
-    prompt = render_prompt(
-        instance, PromptKind.STEP3_COMBINE,
-        a1=a1.raw_text, a2={i: a2[i].raw_text for i in range(3)},
+    backend = scripted_rex_backend(
+        instance, step1_text="Excluded: none",
+        verdict_texts={i: f"v{i}\nVerdict: reasonable" for i in range(3)},
+        step3_text="Answer: A",
     )
-    backend = ScriptedBackend()
-    backend.register_script(responses=["Answer: A"], prompt=prompt)
-    chosen, fallback = run_step3(instance, a1, a2, backend, ReasonerConfig())
-    assert chosen == frozenset({0})
-    assert not fallback
+    path = one_path(instance, backend)
+    assert all(v.verdict is Verdict.REASONABLE for v in path.a2.values())
+    assert path.a3 == frozenset({0})
+    assert not path.degenerate
 
 
 def test_step3_unparseable_falls_back_to_reasonable_verdicts():
     instance = make_instance(m=2)
-    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    a2 = {
-        0: OptionVerdict(Verdict.REASONABLE, raw_text="fine"),
-        1: OptionVerdict(Verdict.UNREASONABLE, raw_text="bad"),
-    }
-    backend = ScriptedBackend(default_responses=["garbled nonsense output"])
-    chosen, fallback = run_step3(instance, a1, a2, backend, ReasonerConfig())
-    assert chosen == frozenset({0})
-    assert fallback
+    backend = scripted_rex_backend(
+        instance, step1_text="Excluded: none",
+        verdict_texts={0: "fine\nVerdict: reasonable", 1: "bad\nVerdict: unreasonable"},
+        step3_text="garbled nonsense output",
+    )
+    path = one_path(instance, backend)
+    assert [path.a2[i].verdict for i in range(2)] == [Verdict.REASONABLE, Verdict.UNREASONABLE]
+    assert path.a3 == frozenset({0})
+    assert path.degenerate
 
 
 def test_step3_fallback_chain_bottoms_out():
     instance = make_instance(m=2)
-    a1 = ExclusionResult(excluded=frozenset({0, 1}), raw_text="Excluded: A, B")
-    a2 = {i: OptionVerdict(Verdict.UNREASONABLE, raw_text="no") for i in range(2)}
-    backend = ScriptedBackend(default_responses=["garbled"])
-    chosen, fallback = run_step3(instance, a1, a2, backend, ReasonerConfig())
-    assert chosen == frozenset({0})
-    assert fallback
+    backend = scripted_rex_backend(
+        instance, step1_text="Excluded: A, B",
+        verdict_texts={i: "no\nVerdict: unreasonable" for i in range(2)},
+        step3_text="garbled",
+    )
+    path = one_path(instance, backend)
+    assert path.a1.excluded == frozenset({0, 1})
+    assert all(v.verdict is Verdict.UNREASONABLE for v in path.a2.values())
+    assert path.a3 == frozenset({0})
+    assert path.degenerate
 
 
 # --- strategies -------------------------------------------------------------
@@ -389,6 +414,34 @@ def test_standard_unparseable_falls_back_to_full_set():
     prediction = run_strategy(instance, Strategy.STANDARD, backend)
     assert prediction.chosen == frozenset({0, 1, 2})
     assert prediction.fallback_used
+
+
+@pytest.mark.parametrize("strategy", [Strategy.REX_GOT, Strategy.STANDARD])
+def test_empty_answer_is_a_failed_parse(bob_movie_instance, strategy):
+    # "Answer: none" names no option: it is retried once, then the strategy falls back.
+    if strategy is Strategy.REX_GOT:
+        inner = scripted_rex_backend(bob_movie_instance, step3_text="Answer: none")
+        answer_prompt = render_prompt(
+            bob_movie_instance, PromptKind.STEP3_COMBINE, a1=BOB_EXCLUSION_TEXT,
+            a2=BOB_VERDICT_TEXTS,
+        )
+        calls, fallback = 1 + 5 + 2, frozenset({0, 1, 4})  # the options judged reasonable
+    else:
+        inner = ScriptedBackend(default_responses=["Answer: none"])
+        answer_prompt = render_prompt(bob_movie_instance, PromptKind.STANDARD)
+        calls, fallback = 2, frozenset(range(5))  # the full set
+    backend = CountingWrapper(inner)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        prediction = run_strategy(
+            bob_movie_instance, strategy, backend, ReasonerConfig(k=1), pool
+        )
+    assert [r.prompt for r in backend.requests].count(answer_prompt) == 2
+    assert len(backend.requests) == calls
+    assert prediction.chosen == fallback
+    assert prediction.fallback_used
+    if strategy is Strategy.REX_GOT:
+        assert prediction.paths[0].a3 == fallback
+        assert prediction.paths[0].degenerate
 
 
 def test_forward_pick_then_stop(bob_movie_instance):
@@ -611,11 +664,16 @@ def test_step1_garbage_sample_gets_one_single_retry_in_sample_order(bob_movie_in
 
 def test_step3_garbage_then_answer_takes_the_retry():
     instance = make_instance(m=3)
-    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    a2 = {i: OptionVerdict(Verdict.REASONABLE, raw_text=f"v{i}") for i in range(3)}
-    backend = CountingWrapper(QueuedBackend(["garbled nonsense output", "Answer: B"]))
-    assert run_step3(instance, a1, a2, backend, RETRY_CONFIG) == (frozenset({1}), False)
-    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.4), (1, 0.4)]
+    verdicts = [f"v{i}\nVerdict: reasonable" for i in range(3)]
+    backend = CountingWrapper(
+        QueuedBackend(["Excluded: none", *verdicts, "garbled nonsense output", "Answer: B"])
+    )
+    path = one_path(instance, backend, RETRY_CONFIG)
+    assert not path.a1.parse_failed
+    assert all(v.verdict is Verdict.REASONABLE for v in path.a2.values())
+    assert (path.a3, path.degenerate) == (frozenset({1}), False)
+    step3 = step_requests(backend.requests, 3)
+    assert [(r.n_samples, r.temperature) for r in step3] == [(1, 0.4), (1, 0.4)]
 
 
 def test_standard_garbage_then_valid_is_no_fallback():
@@ -638,10 +696,13 @@ def test_pick_loop_unparseable_twice_falls_back():
 
 def test_verdict_abstention_keeps_the_retry_text():
     instance = make_instance(m=2)
-    a1 = ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
-    backend = CountingWrapper(QueuedBackend(["shrug", "second shrug", "Verdict: reasonable"]))
-    verdicts = run_step2(instance, a1, backend, RETRY_CONFIG)
-    assert verdicts[0].verdict is Verdict.ABSTAIN
-    assert verdicts[0].raw_text == "second shrug"
-    assert verdicts[1].verdict is Verdict.REASONABLE
-    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(1, 0.2)] * 3
+    backend = CountingWrapper(QueuedBackend(
+        ["Excluded: none", "shrug", "second shrug", "Verdict: reasonable", "Answer: B"]
+    ))
+    path = one_path(instance, backend, RETRY_CONFIG)
+    assert path.a1 == ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
+    assert path.a2[0].verdict is Verdict.ABSTAIN
+    assert path.a2[0].raw_text == "second shrug"
+    assert path.a2[1].verdict is Verdict.REASONABLE
+    step2 = step_requests(backend.requests, 2)
+    assert [(r.n_samples, r.temperature) for r in step2] == [(1, 0.2)] * 3
