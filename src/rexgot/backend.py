@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import re
+import sys
 import threading
 import time
 import urllib.parse
@@ -25,7 +26,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from .model import RexGotError
 
@@ -606,20 +608,29 @@ CACHE_OFF = "off"
 CACHE_RECORD = "record"
 CACHE_REPLAY = "replay"
 CACHE_MODES = (CACHE_OFF, CACHE_RECORD, CACHE_REPLAY)
-_READ_BYTES = 65536
+SEGMENT_DIR = "v2"  # the on-disk format's version; a new format takes a new name
+_ENTRY_HEAD = re.compile(rb'\{"digest":"([0-9a-f]{64})",')
+_SCAN_BYTES = 65536
 
 
 class CachingBackend:
-    """Content-addressed file cache around another backend.
+    """Content-addressed, append-only file cache around another backend.
 
-    Layout: ``<cache_dir>/<2-char shard>/<digest>.json``, one diffable
-    JSON file per request digest holding the full completion list.
-    ``record`` reads through and stores misses; ``replay`` serves hits
-    only and never touches the inner backend, so replayed runs are fully
-    offline. Each write goes to a temporary file with a name of its own
-    and is then renamed into place, so concurrent writers, in this
-    process or others sharing the directory, need no lock, and readers
-    see either no entry or a whole one.
+    Layout: ``<cache_dir>/v2/<pid>-<random hex>.jsonl`` segments. Each
+    backend appends the entries it stores to a segment of its own,
+    created on its first store, one line per request digest:
+    ``{"digest":"<sha256>",`` then the completion list and the request
+    fields as compact JSON with sorted keys. At construction every
+    segment is read, a buffer at a time and in sorted name order, into an
+    in-memory index of digest to (file, offset, length); the first entry
+    for a digest wins, so lookups are deterministic, and a lookup is a
+    dict get plus one ``os.pread``. A line that is cut off or malformed
+    is skipped, and the count is reported on stderr. ``record`` reads
+    through and stores misses; ``replay`` serves hits only and never
+    touches the inner backend, so replayed runs are fully offline.
+    Concurrent writers, in this process or others sharing the directory,
+    append to different segments and need no lock between them; entries
+    another backend stores after this one was built are not seen by it.
     """
 
     def __init__(self, inner: Backend | None, cache_dir: str | Path, mode: str = CACHE_RECORD):
@@ -630,82 +641,160 @@ class CachingBackend:
         self.inner = inner
         self.cache_dir = Path(cache_dir)
         self.mode = mode
+        self._lock = threading.Lock()  # guards appends to the index and the own segment
+        self._index: dict[str, tuple[int, int, int]] = {}  # digest -> (fd, offset, length)
+        self._fds: list[int] = []
+        self._segment: int | None = None  # fd of the own segment, opened on the first store
+        self._segment_end = 0
+        try:
+            for path in segment_paths(self.cache_dir):
+                self._index_segment(path)
+        except BaseException:
+            self.close()
+            raise
 
-    def _path(self, digest: str) -> Path:
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+    def _index_segment(self, path: Path) -> None:
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:  # purged since the directory was listed
+            return
+        added = skipped = 0
+        try:
+            for digest, offset, length in _segment_entries(fd):
+                if digest is None:
+                    skipped += 1
+                elif digest not in self._index:
+                    self._index[digest] = (fd, offset, length)
+                    added += 1
+        finally:
+            if added:
+                self._fds.append(fd)
+            else:
+                os.close(fd)
+        if skipped:
+            print(
+                f"rexgot: cache segment {path.name}: "
+                f"skipped {skipped} cut-off or malformed line(s)",
+                file=sys.stderr,
+            )
+
+    def contains(self, digest: str) -> bool:
+        """Whether a lookup of ``digest`` would hit, without reading the entry."""
+        return digest in self._index
+
+    def _path(self, digest: str) -> SimpleNamespace:
+        # perfbench/child.py's traced mode probes hits as ``_path(digest).exists()``;
+        # this goes once it calls ``contains``.
+        return SimpleNamespace(exists=lambda: self.contains(digest))
 
     def complete(self, request: CompletionRequest) -> list[Completion]:
         digest = cache_key(request)
-        path = self._path(digest)
-        completions = self._load(path)
-        if completions is not None:
-            return completions
+        entry = self._index.get(digest)
+        if entry is not None:
+            return _read_entry(*entry)
         if self.mode == CACHE_REPLAY:
             raise ReplayMiss(f"no cached completion for digest {digest}")
         assert self.inner is not None
         completions = self.inner.complete(request)
-        self._store(path, request, completions)
+        self._store(digest, request, completions)
         return completions
 
     def close(self) -> None:
+        with self._lock:
+            fds, self._fds = self._fds, []
+            self._index.clear()  # a closed descriptor's number may be reused
+            self._segment = None
+        for fd in fds:
+            os.close(fd)
         _close(self.inner)
 
-    @staticmethod
-    def _load(path: Path) -> list[Completion] | None:
-        """The completions stored at ``path``, or None if there is no entry."""
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except FileNotFoundError:
-            return None
-        try:
-            chunks = []
-            while chunk := os.read(fd, _READ_BYTES):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-        payload = json.loads(b"".join(chunks).decode("utf-8"))
-        return [
-            Completion(
-                text=c["text"],
-                finish_reason=FinishReason(c["finish_reason"]),
-                usage=c.get("usage"),
-            )
-            for c in payload["completions"]
-        ]
-
     def _store(
-        self, path: Path, request: CompletionRequest, completions: Sequence[Completion]
+        self, digest: str, request: CompletionRequest, completions: Sequence[Completion]
     ) -> None:
-        payload = {
-            "request": _request_fields(request),
-            "completions": [
-                {
-                    "text": c.text,
-                    "finish_reason": c.finish_reason.value,
-                    "usage": dict(c.usage) if c.usage is not None else None,
-                }
-                for c in completions
-            ],
-        }
-        data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
-        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
-        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        body = json.dumps(
+            {
+                "completions": [
+                    {
+                        "text": c.text,
+                        "finish_reason": c.finish_reason.value,
+                        "usage": dict(c.usage) if c.usage is not None else None,
+                    }
+                    for c in completions
+                ],
+                "request": _request_fields(request),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        line = f'{{"digest":"{digest}",{body[1:]}\n'.encode("ascii")
+        with self._lock:
+            if digest in self._index:  # stored meanwhile by a concurrent miss
+                return
+            if self._segment is None:
+                self._segment = self._open_segment()
+                self._fds.append(self._segment)
+                self._segment_end = 0
+            offset = self._segment_end
+            try:
+                view = memoryview(line)
+                while view:
+                    view = view[os.write(self._segment, view) :]
+            except BaseException:
+                os.ftruncate(self._segment, offset)  # no cut-off line for later appends
+                raise
+            self._segment_end += len(line)
+            self._index[digest] = (self._segment, offset, len(line))
+
+    def _open_segment(self) -> int:
+        path = self.cache_dir / SEGMENT_DIR / f"{os.getpid()}-{os.urandom(8).hex()}.jsonl"
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL
         try:
-            fd = os.open(tmp, flags, 0o666)  # the umask applies, unlike mkstemp's 0600
+            return os.open(path, flags, 0o666)  # the umask applies, unlike mkstemp's 0600
         except FileNotFoundError:
             os.makedirs(path.parent, exist_ok=True)
-            fd = os.open(tmp, flags, 0o666)
-        try:
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view) :]
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            return os.open(path, flags, 0o666)
+
+
+def segment_paths(cache_dir: str | Path) -> list[Path]:
+    """The cache's segment files, in the order their entries take precedence."""
+    return sorted((Path(cache_dir) / SEGMENT_DIR).glob("*.jsonl"))
+
+
+def _segment_entries(fd: int) -> Iterator[tuple[str | None, int, int]]:
+    """(digest, offset, length) of each line of the segment open at ``fd``.
+
+    The digest is None for a line that is cut off or malformed. The
+    segment is read a buffer at a time and only the head and the end of
+    each line are looked at, so the scan holds one buffer and one line.
+    """
+    offset = 0  # of ``data`` in the segment
+    data = b""
+    while chunk := os.read(fd, _SCAN_BYTES):
+        data += chunk
+        start = 0
+        while (end := data.find(b"\n", start)) >= 0:
+            match = _ENTRY_HEAD.match(data, start)
+            digest = None
+            if match is not None and data.endswith(b"}\n", start, end + 1):
+                digest = match.group(1).decode("ascii")
+            yield digest, offset + start, end + 1 - start
+            start = end + 1
+        offset += start
+        data = data[start:]
+    if data:  # a last line without its newline
+        yield None, offset, len(data)
+
+
+def _read_entry(fd: int, offset: int, length: int) -> list[Completion]:
+    payload = json.loads(os.pread(fd, length, offset))
+    return [
+        Completion(
+            text=c["text"],
+            finish_reason=FinishReason(c["finish_reason"]),
+            usage=c.get("usage"),
+        )
+        for c in payload["completions"]
+    ]
 
 
 class SingleFlightBackend:
@@ -760,19 +849,18 @@ def _close(resource: Any) -> None:
 
 
 def purge_cache(cache_dir: str | Path) -> int:
-    """Delete all cached completion files; returns the number removed."""
-    cache_dir = Path(cache_dir)
-    removed = 0
-    if not cache_dir.exists():
-        return 0
-    for shard in sorted(cache_dir.iterdir()):
-        if not shard.is_dir():
-            continue
-        for entry in sorted(shard.glob("*.json")):
-            entry.unlink()
-            removed += 1
+    """Delete all cache segments; returns the number of entries they held."""
+    digests: set[str | None] = set()
+    for path in segment_paths(cache_dir):
+        fd = os.open(path, os.O_RDONLY)
         try:
-            shard.rmdir()
-        except OSError:
-            pass
-    return removed
+            digests.update(digest for digest, _, _ in _segment_entries(fd))
+        finally:
+            os.close(fd)
+        path.unlink()
+    digests.discard(None)
+    try:
+        (Path(cache_dir) / SEGMENT_DIR).rmdir()
+    except OSError:
+        pass
+    return len(digests)

@@ -22,6 +22,7 @@ from .backend import (
     CACHE_OFF,
     CACHE_RECORD,
     CACHE_REPLAY,
+    SEGMENT_DIR,
     Backend,
     BackendError,
     CachingBackend,
@@ -29,6 +30,7 @@ from .backend import (
     ScriptedBackend,
     SingleFlightBackend,
     purge_cache,
+    segment_paths,
 )
 from .dataset import FORMATS, Corpus, corpus_stats, load_corpus
 from .evaluation import BucketScore, EvalReport, compare_report, evaluate, write_report_files
@@ -91,10 +93,17 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.repeat < 1:
             raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
-        if self.cache_mode == CACHE_REPLAY and not Path(self.cache_dir).is_dir():
-            raise ConfigError(
-                f"replay mode requires an existing cache directory, {self.cache_dir!r} is missing"
-            )
+        if self.cache_mode == CACHE_REPLAY:
+            if not Path(self.cache_dir).is_dir():
+                raise ConfigError(
+                    f"replay mode requires an existing cache directory, "
+                    f"{self.cache_dir!r} is missing"
+                )
+            if not segment_paths(self.cache_dir):
+                raise ConfigError(
+                    f"cache directory {self.cache_dir!r} holds no {SEGMENT_DIR} segments; "
+                    f"a cache recorded in an older layout must be re-recorded"
+                )
         if self.cache_mode != CACHE_REPLAY:
             if self.backend == "http" and not self.endpoint:
                 raise ConfigError("http backend requires --endpoint")

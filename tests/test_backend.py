@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import sys
 import threading
@@ -24,6 +25,7 @@ from rexgot.backend import (
     ScriptMiss,
     SingleFlightBackend,
     TransportError,
+    _canonical_request,
     cache_key,
     purge_cache,
 )
@@ -242,6 +244,14 @@ class CountingBackend:
         return [Completion(text=self.response)] * req.n_samples
 
 
+def segments(cache_dir):
+    return sorted((cache_dir / "v2").glob("*.jsonl"))
+
+
+def segment_lines(cache_dir):
+    return [line for path in segments(cache_dir) for line in path.read_bytes().splitlines(True)]
+
+
 def test_record_then_replay_hits_cache(tmp_path):
     inner = CountingBackend()
     recorder = CachingBackend(inner, tmp_path / "cache", mode="record")
@@ -268,20 +278,44 @@ def test_replay_never_touches_inner(tmp_path):
     assert counting.calls == 0
 
 
-def test_cache_layout_is_sharded(tmp_path):
+def test_cache_layout_is_one_segment_per_backend(tmp_path):
     cache_dir = tmp_path / "cache"
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
-    digest = cache_key(request())
-    assert (cache_dir / digest[:2] / f"{digest}.json").is_file()
+    first = [request(), request(prompt="other")]
+    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    for req in first:
+        recorder.complete(req)
+    assert list(cache_dir.iterdir()) == [cache_dir / "v2"]
+    [segment] = segments(cache_dir)
+    assert re.fullmatch(rf"{os.getpid()}-[0-9a-f]{{16}}\.jsonl", segment.name)
+    heads = [line[:77] for line in segment.read_bytes().splitlines(True)]
+    assert heads == [f'{{"digest":"{cache_key(req)}",'.encode() for req in first]
+
+    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request(prompt="third"))
+    assert len(segments(cache_dir)) == 2
+    assert segment.read_bytes().count(b"\n") == 2
 
 
 def test_cache_files_are_diffable_json(tmp_path):
     cache_dir = tmp_path / "cache"
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
-    digest = cache_key(request())
-    payload = json.loads((cache_dir / digest[:2] / f"{digest}.json").read_text())
-    assert payload["request"]["prompt"] == "what is up?"
-    assert payload["completions"][0]["text"] == "inner response"
+    requests = [request(), request(prompt="line\nbreak \u2028 \u00e9", n_samples=2)]
+    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    for req in requests:
+        recorder.complete(req)
+    lines = segment_lines(cache_dir)
+    assert len(lines) == 2
+    for req, line in zip(requests, lines):
+        payload = json.loads(line)
+        assert payload == {
+            "digest": cache_key(req),
+            "request": json.loads(_canonical_request(req)),
+            "completions": [
+                {"text": "inner response", "finish_reason": "stop", "usage": None}
+            ] * req.n_samples,
+        }
+        # One compact line: the digest first, then every other key in sorted order.
+        rest = {key: payload[key] for key in ("completions", "request")}
+        body = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+        assert line == f'{{"digest":"{cache_key(req)}",{body[1:]}\n'.encode("ascii")
 
 
 def test_concurrent_complete_calls(tmp_path):
@@ -304,33 +338,48 @@ def test_concurrent_complete_calls(tmp_path):
 
 def test_purge_cache(tmp_path):
     cache_dir = tmp_path / "cache"
-    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
-    recorder.complete(request(prompt="a"))
-    recorder.complete(request(prompt="b"))
+    recorders = [CachingBackend(CountingBackend(), cache_dir, mode="record") for _ in range(2)]
+    for recorder in recorders:
+        recorder.complete(request(prompt="a"))
+    recorders[0].complete(request(prompt="b"))
+    # The same entry in a second segment is one cached completion, not two.
+    assert len(segments(cache_dir)) == 2
     assert purge_cache(cache_dir) == 2
+    assert not (cache_dir / "v2").exists()
     assert purge_cache(cache_dir) == 0
+    with pytest.raises(ReplayMiss):
+        CachingBackend(None, cache_dir, mode="replay").complete(request(prompt="a"))
+
+
+class ThreadNameBackend:
+    """Answers every request with the name of the thread that asked."""
+
+    def complete(self, req):
+        return [Completion(text=threading.current_thread().name)] * req.n_samples
 
 
 def test_cache_writers_sharing_a_directory_need_no_lock(tmp_path):
     cache_dir = tmp_path / "cache"
-    backends = [CachingBackend(CountingBackend(), cache_dir, mode="record") for _ in range(2)]
-    requests = [request(prompt=f"p{i}") for i in range(4)]
+    backends = [CachingBackend(ThreadNameBackend(), cache_dir, mode="record") for _ in range(2)]
+    requests = [request(prompt=f"p{n}") for n in range(20)]
     start = threading.Barrier(16)
     errors = []
 
     def writer(i):
-        backend, req = backends[i // 4 % 2], requests[i % 4]
+        backend = backends[i // 4 % 2]
         start.wait(timeout=10)
         try:
-            for _ in range(20):
-                backend._store(backend._path(cache_key(req)), req, [Completion(text=f"w{i}")])
+            for req in requests:  # the same order in every thread, so misses collide
+                backend.complete(req)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(16)]
+        threads = [
+            threading.Thread(target=writer, args=(i,), name=f"w{i}") for i in range(16)
+        ]
         for t in threads:
             t.start()
         for t in threads:
@@ -339,11 +388,43 @@ def test_cache_writers_sharing_a_directory_need_no_lock(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
+    # Each backend wrote one whole line per digest to a segment of its own.
+    digests = sorted(cache_key(req) for req in requests)
+    for path in segments(cache_dir):
+        entries = [json.loads(line) for line in path.read_bytes().splitlines()]
+        assert sorted(entry["digest"] for entry in entries) == digests
+    assert len(segments(cache_dir)) == 2
+    writers = {f"w{i}" for i in range(16)}
     replayer = CachingBackend(None, cache_dir, mode="replay")
-    for i, req in enumerate(requests):
-        texts = {c.text for c in replayer.complete(req)}
-        assert texts <= {f"w{j}" for j in range(i, 16, 4)}
+    first = {entry["digest"]: entry for entry in map(json.loads, segment_lines(cache_dir)[:20])}
+    for req in requests:
+        [served] = replayer.complete(req)
+        assert served.text in writers
+        assert served.text == first[cache_key(req)]["completions"][0]["text"]
     assert list(cache_dir.rglob("*.tmp")) == []
+
+
+def test_concurrent_misses_of_one_request_store_one_entry(tmp_path):
+    both_asked = threading.Barrier(2, timeout=10)
+
+    class RendezvousBackend:
+        def complete(self, req):
+            both_asked.wait()
+            return [Completion(text=threading.current_thread().name)]
+
+    backend = CachingBackend(RendezvousBackend(), tmp_path / "cache", mode="record")
+    req = request(temperature=0.7)
+    threads = [
+        threading.Thread(target=backend.complete, args=(req,), name=f"t{i}") for i in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    [line] = segment_lines(tmp_path / "cache")
+    [stored] = json.loads(line)["completions"]
+    assert backend.complete(req) == [Completion(text=stored["text"])]
 
 
 class GatedBackend:
@@ -426,14 +507,16 @@ def test_single_flight_error_reaches_every_waiter_and_is_not_kept():
     assert inner.calls == 2
 
 
-def test_store_into_missing_shard_creates_it(tmp_path):
+def test_store_into_missing_version_dir_creates_it(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    digest = cache_key(request())
-    assert not (cache_dir / digest[:2]).exists()
     CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
-    assert (cache_dir / digest[:2]).is_dir()
-    assert (cache_dir / digest[:2] / f"{digest}.json").is_file()
+    assert (cache_dir / "v2").is_dir()
+    assert len(segments(cache_dir)) == 1
+    # A cache directory that does not exist yet is created too.
+    missing = tmp_path / "new" / "cache"
+    CachingBackend(CountingBackend(), missing, mode="record").complete(request())
+    assert len(segments(missing)) == 1
 
 
 def test_cache_entry_mode_follows_umask(tmp_path):
@@ -442,25 +525,130 @@ def test_cache_entry_mode_follows_umask(tmp_path):
         CachingBackend(CountingBackend(), tmp_path / "cache", mode="record").complete(request())
     finally:
         os.umask(old)
-    digest = cache_key(request())
-    entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
-    assert stat.S_IMODE(entry.stat().st_mode) == 0o666 & ~0o027
+    [segment] = segments(tmp_path / "cache")
+    assert stat.S_IMODE(segment.stat().st_mode) == 0o666 & ~0o027
 
 
 def test_store_leaves_no_temp_file_on_success_or_failure(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     backend = CachingBackend(CountingBackend(), cache_dir, mode="record")
     backend.complete(request(prompt="kept"))
+    [segment] = segments(cache_dir)
+    kept_bytes = segment.read_bytes()
+    real_write = os.write
 
-    def refuse(src, dst):
-        raise OSError("replace refused")
+    def write_half_then_fail(fd, data):
+        if fd != backend._segment:
+            return real_write(fd, data)
+        real_write(fd, bytes(data[: len(data) // 2]))
+        raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="replace refused"):
+    monkeypatch.setattr(os, "write", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
         backend.complete(request(prompt="lost"))
+    monkeypatch.undo()
+    # The cut-off half was taken back, so the next entry starts a line of its own.
+    assert segment.read_bytes() == kept_bytes
+    backend.complete(request(prompt="after"))
     assert list(cache_dir.rglob("*.tmp")) == []
-    kept = cache_key(request(prompt="kept"))
-    assert [p.name for p in cache_dir.rglob("*.json")] == [f"{kept}.json"]
+    assert segments(cache_dir) == [segment]
+    replayer = CachingBackend(None, cache_dir, mode="replay")
+    assert all(replayer.contains(cache_key(request(prompt=p))) for p in ("kept", "after"))
+    assert not replayer.contains(cache_key(request(prompt="lost")))
+
+
+def test_contains_probes_hits_without_a_lookup(tmp_path):
+    cache_dir = tmp_path / "cache"
+    inner = CountingBackend()
+    recorder = CachingBackend(inner, cache_dir, mode="record")
+    digest = cache_key(request())
+    assert not recorder.contains(digest)
+    recorder.complete(request())
+    assert recorder.contains(digest)
+    assert not recorder.contains(cache_key(request(prompt="never recorded")))
+    replayer = CachingBackend(None, cache_dir, mode="replay")
+    assert replayer.contains(digest)
+    assert inner.calls == 1
+
+
+class EchoBackend:
+    def complete(self, req):
+        return [Completion(text=req.prompt[::-1])] * req.n_samples
+
+
+def test_entries_longer_than_a_read_buffer_replay_whole(tmp_path):
+    cache_dir = tmp_path / "cache"
+    # Lines from a few bytes to well over the scan's 64 KiB reads, so they cross its buffers.
+    prompts = [f"{i}:" + "ab\u00e9\n" * size for i, size in enumerate((1, 9000, 40000, 5, 7000))]
+    recorder = CachingBackend(EchoBackend(), cache_dir, mode="record")
+    for prompt in prompts:
+        recorder.complete(request(prompt=prompt))
+    replayer = CachingBackend(None, cache_dir, mode="replay")
+    for prompt in prompts:
+        assert replayer.complete(request(prompt=prompt)) == [Completion(text=prompt[::-1])]
+    assert purge_cache(cache_dir) == len(prompts)
+
+
+def test_torn_final_line_is_skipped_and_never_served(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    for prompt in ("kept", "torn"):
+        recorder.complete(request(prompt=prompt))
+    [segment] = segments(cache_dir)
+    kept_line, torn_line = segment.read_bytes().splitlines(True)
+    segment.write_bytes(kept_line + torn_line[:-2])  # cut off before "}\n"
+    replayer = CachingBackend(None, cache_dir, mode="replay")
+    assert f"{segment.name}: skipped 1 " in capsys.readouterr().err
+    assert replayer.complete(request(prompt="kept")) == [Completion(text="inner response")]
+    assert not replayer.contains(cache_key(request(prompt="torn")))
+    with pytest.raises(ReplayMiss):
+        replayer.complete(request(prompt="torn"))
+    # A recorder stores the entry again, in a new segment, not after the cut-off line.
+    inner = CountingBackend("again")
+    CachingBackend(inner, cache_dir, mode="record").complete(request(prompt="torn"))
+    assert inner.calls == 1
+    assert segment.read_bytes() == kept_line + torn_line[:-2]
+    again = CachingBackend(None, cache_dir, mode="replay").complete(request(prompt="torn"))
+    assert again == [Completion(text="again")]
+
+
+def test_foreign_lines_are_skipped_and_counted(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    [segment] = segments(cache_dir)
+    [line] = segment.read_bytes().splitlines(True)
+    foreign = [b"\n", b'{"digest":"not hex"}\n', line.upper(), b"garbage\n"]
+    segment.write_bytes(b"".join(foreign[:2] + [line] + foreign[2:]))
+    replayer = CachingBackend(None, cache_dir, mode="replay")
+    assert f"cache segment {segment.name}: skipped 4 " in capsys.readouterr().err
+    assert replayer.complete(request()) == [Completion(text="inner response")]
+
+
+def test_replay_picks_the_same_entry_when_segments_disagree(tmp_path):
+    cache_dir = tmp_path / "cache"
+    recorders = {
+        text: CachingBackend(CountingBackend(text), cache_dir, mode="record")
+        for text in ("first", "second")
+    }
+    for recorder in recorders.values():
+        recorder.complete(request())
+    # Sorted segment names decide, not the order the segments were written in.
+    [segment] = [p for p in segments(cache_dir) if b'"second"' in p.read_bytes()]
+    segment.rename(segment.with_name(f"0-{segment.name}"))
+    for _ in range(3):
+        replayer = CachingBackend(None, cache_dir, mode="replay")
+        assert replayer.complete(request()) == [Completion(text="second")]
+        replayer.close()
+
+
+def test_record_of_cache_hits_creates_no_segment(tmp_path):
+    cache_dir = tmp_path / "cache"
+    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    before = segments(cache_dir)
+    inner = CountingBackend()
+    assert CachingBackend(inner, cache_dir, mode="record").complete(request())
+    assert inner.calls == 0
+    assert segments(cache_dir) == before
 
 
 def test_replay_miss_creates_nothing(tmp_path):
@@ -483,7 +671,8 @@ def test_request_is_serialized_once_per_call(tmp_path, monkeypatch):
     req = request(prompt="once")
     backend.complete(req)
     assert len(serialized) == 1
-    stored = json.loads(next((tmp_path / "cache").rglob("*.json")).read_text("utf-8"))
+    [line] = segment_lines(tmp_path / "cache")
+    stored = json.loads(line)
     assert stored["request"] == json.loads(canonical(req))
     # The kept digest is not a field: equality and hashing still see only the fields.
     twin = request(prompt="once")

@@ -75,6 +75,41 @@ def test_replay_with_cold_cache_is_config_error(tmp_path, bob_movie_setup, capsy
     assert "replay mode requires an existing cache" in capsys.readouterr().err
 
 
+def test_replay_of_a_cache_without_segments_is_config_error(tmp_path, bob_movie_setup, capsys):
+    corpus_path, scripts_path = bob_movie_setup
+    cache_dir = tmp_path / "cache"
+    old_entry = cache_dir / "ab" / f"ab{'0' * 62}.json"  # the one-file-per-entry layout
+    old_entry.parent.mkdir(parents=True)
+    old_entry.write_text('{"completions": [], "request": {}}\n')
+    code = main(
+        run_args(
+            corpus_path, scripts_path, tmp_path / "out",
+            "--cache-mode", "replay", "--cache-dir", str(cache_dir),
+        )
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "holds no v2 segments" in err and "re-recorded" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_record_run_of_cache_hits_creates_no_segment(tmp_path, bob_movie_setup):
+    corpus_path, scripts_path = bob_movie_setup
+    cache_dir = tmp_path / "cache"
+    for name in ("first", "second"):
+        code = main(
+            run_args(
+                corpus_path, scripts_path, tmp_path / name,
+                "--cache-mode", "record", "--cache-dir", str(cache_dir),
+            )
+        )
+        assert code == 0
+        assert len(list((cache_dir / "v2").iterdir())) == 1
+    assert (tmp_path / "first" / "predictions.jsonl").read_bytes() == (
+        tmp_path / "second" / "predictions.jsonl"
+    ).read_bytes()
+
+
 def test_record_then_replay_byte_identical(tmp_path, bob_movie_setup):
     corpus_path, scripts_path = bob_movie_setup
     cache_dir = tmp_path / "cache"
@@ -265,7 +300,7 @@ def test_cache_purge_command(tmp_path, bob_movie_setup, capsys):
     assert any(cache_dir.iterdir())
     assert main(["cache", "purge", "--cache-dir", str(cache_dir)]) == 0
     assert "removed" in capsys.readouterr().out
-    assert not any(p for p in cache_dir.rglob("*.json"))
+    assert not any(p for p in cache_dir.rglob("*.json*"))
 
 
 def test_missing_corpus_file_is_reported_not_raised(tmp_path, capsys):
