@@ -3,9 +3,9 @@
 Three implementations: an HTTP client speaking the de-facto
 ``/v1/chat/completions`` JSON protocol, a scripted backend for fully
 offline deterministic tests, and a content-addressed record/replay
-cache that wraps either; plus a single-flight wrapper that lets
-identical greedy requests in flight at the same time share one call.
-All backends accept concurrent ``complete`` calls. A conforming backend
+cache that wraps either. No backend merges requests: the reasoner
+asks equal greedy questions of one ``rex_got`` instance only once. All
+backends accept concurrent ``complete`` calls. A conforming backend
 returns exactly ``n_samples`` completions or raises; at temperature 0
 all samples must be identical.
 """
@@ -22,7 +22,6 @@ import sys
 import threading
 import time
 import urllib.parse
-from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -128,17 +127,8 @@ def _canonical_request(request: CompletionRequest) -> bytes:
 
 
 def cache_key(request: CompletionRequest) -> str:
-    """Deterministic content digest over all request fields.
-
-    It is computed once per request object and kept on it, outside the
-    dataclass fields, so equality and hashing are unchanged: the
-    single-flight and the caching layer key the same request.
-    """
-    key = getattr(request, "_cache_key", None)
-    if key is None:
-        key = hashlib.sha256(_canonical_request(request)).hexdigest()
-        object.__setattr__(request, "_cache_key", key)
-    return key
+    """Deterministic content digest over all request fields."""
+    return hashlib.sha256(_canonical_request(request)).hexdigest()
 
 
 def prompt_digest(prompt: str) -> str:
@@ -338,19 +328,6 @@ _STATUS_LINE = re.compile(r"HTTP/(\d\.\d) (\d{3})(?: .*)?\r?")
 _CHUNK_SIZE = re.compile(rb"([0-9a-fA-F]+)[ \t]*(?:;.*)?\r?\n")
 
 
-class _Headers(dict):
-    """Response headers whose names match in any case."""
-
-    def __getitem__(self, name: str) -> str:
-        return super().__getitem__(name.lower())
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and super().__contains__(name.lower())
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return super().get(name.lower(), default)
-
-
 class _Reader:
     """Buffered reads of HTTP responses from one socket."""
 
@@ -422,8 +399,10 @@ class _Reader:
         return b"".join(parts)
 
 
-def _read_response(sock) -> tuple[int, _Headers, bytes, bool]:
+def _read_response(sock) -> tuple[int, dict[str, str], bytes, bool]:
     """One response from ``sock``: status, headers, body and whether ``sock`` may be reused.
+
+    Header names are lower-cased.
 
     Raises :class:`ConnectionResetError` when the server closes the
     connection before the first byte of a response, and
@@ -444,7 +423,7 @@ def _read_response(sock) -> tuple[int, _Headers, bytes, bool]:
         lines = reader.head()  # an interim response; the final one follows
         if lines is None:
             raise TransportError("connection closed after an interim response")
-    headers = _Headers()
+    headers: dict[str, str] = {}
     for line in lines[1:]:
         name, colon, value = line.partition(":")
         if not colon:
@@ -795,50 +774,6 @@ def _read_entry(fd: int, offset: int, length: int) -> list[Completion]:
         )
         for c in payload["completions"]
     ]
-
-
-class SingleFlightBackend:
-    """Lets identical temperature-0 requests in flight at the same time share one call.
-
-    The first caller of a request (keyed by :func:`cache_key`) calls the
-    inner backend; callers that arrive while it runs wait for its result
-    or its exception. Nothing is kept once the call returns: a later
-    identical request calls the inner backend again, and a failure is
-    never reused. Sampled requests (temperature above 0) always pass
-    straight through, since their completions are meant to differ.
-    """
-
-    def __init__(self, inner: Backend):
-        self.inner = inner
-        self._lock = threading.Lock()
-        self._flights: dict[str, Future] = {}
-
-    def complete(self, request: CompletionRequest) -> list[Completion]:
-        if request.temperature != 0:
-            return self.inner.complete(request)
-        key = cache_key(request)
-        with self._lock:
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._flights[key] = Future()
-        if not leader:
-            return list(flight.result())
-        try:
-            completions = self.inner.complete(request)
-        except BaseException as exc:
-            self._land(key).set_exception(exc)
-            raise
-        self._land(key).set_result(completions)
-        return list(completions)
-
-    def _land(self, key: str) -> Future:
-        # Removed before waiters are woken, so no caller can join a finished flight.
-        with self._lock:
-            return self._flights.pop(key)
-
-    def close(self) -> None:
-        _close(self.inner)
 
 
 def _close(resource: Any) -> None:

@@ -28,7 +28,7 @@ from .backend import (
     CachingBackend,
     HTTPBackend,
     ScriptedBackend,
-    SingleFlightBackend,
+    _close,
     purge_cache,
     segment_paths,
 )
@@ -145,17 +145,17 @@ class RunConfig:
         )
 
 
-def build_backend(config: RunConfig) -> SingleFlightBackend:
-    """The configured backend, with identical concurrent greedy requests coalesced."""
+def build_backend(config: RunConfig) -> Backend:
+    """The configured backend, behind the record/replay cache when one is on."""
     if config.cache_mode == CACHE_REPLAY:
-        return SingleFlightBackend(CachingBackend(None, config.cache_dir, mode=CACHE_REPLAY))
+        return CachingBackend(None, config.cache_dir, mode=CACHE_REPLAY)
     if config.backend == "scripted":
-        inner: Backend = _load_scripted(config.scripts)
+        backend: Backend = _load_scripted(config.scripts)
     else:
-        inner = HTTPBackend(base_url=config.endpoint)
+        backend = HTTPBackend(base_url=config.endpoint)
     if config.cache_mode == CACHE_RECORD:
-        inner = CachingBackend(inner, config.cache_dir, mode=CACHE_RECORD)
-    return SingleFlightBackend(inner)
+        backend = CachingBackend(backend, config.cache_dir, mode=CACHE_RECORD)
+    return backend
 
 
 def _load_scripted(path: str) -> ScriptedBackend:
@@ -176,9 +176,10 @@ def _predict_one(
     strategy = Strategy(config.strategy)
     try:
         return run_strategy(instance, strategy, backend, config.reasoner_config(), call_pool), False
-    except BackendError:
-        # Long batch runs survive per-instance faults: record a degenerate
-        # full-set prediction and count the failure in the exit summary.
+    except BackendError as exc:
+        # Long batch runs survive per-instance faults: report the fault, record
+        # a degenerate full-set prediction and count it in the exit summary.
+        print(f"rexgot: {exc}", file=sys.stderr)
         prediction = Prediction(
             instance_id=instance.id,
             strategy=strategy,
@@ -270,7 +271,7 @@ def cmd_run(config: RunConfig) -> int:
         # Instances first: a running instance may still wait on its calls.
         instance_pool.shutdown(cancel_futures=True)
         call_pool.shutdown(cancel_futures=True)
-        backend.close()
+        _close(backend)
     report = _average_reports(reports)
 
     out_dir = Path(config.out)

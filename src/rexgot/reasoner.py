@@ -11,10 +11,12 @@ the calls within a step do not wait for each other: since exclusions
 inform and never prune, every step-2 verdict call depends only on its
 path's step-1 sample, and each path's step-3 call only on that path's
 verdicts. They run on a thread pool, so an instance costs three round
-trips instead of 1 + K·(m+1). Distinct instances may be processed
-concurrently by callers. Results do not depend on the order in which
-calls finish: with a replay cache and fixed config every strategy is a
-pure function of its inputs.
+trips instead of 1 + K·(m+1). Paths whose step-1 samples agree ask
+byte-identical greedy questions, and each such question is asked once
+per instance, so the number of calls is a function of the step-1 texts
+alone. Distinct instances may be processed concurrently by callers.
+Results do not depend on the order in which calls finish: with a replay
+cache and fixed config every strategy is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -288,34 +290,19 @@ def run_step1(
     return results
 
 
-def _verdict_with_retry(
-    prompt: str, instance_id: str, backend: Backend, config: ReasonerConfig
-) -> OptionVerdict:
-    """One option's step-2 verdict; unparseable after one retry, it abstains."""
-    verdict, text = _ask(
-        prompt, parse_verdict, config.temperature_step2, instance_id, backend, config
-    )
-    return OptionVerdict(verdict=verdict if verdict is not None else Verdict.ABSTAIN, raw_text=text)
-
-
-def _combine(
-    prompt: str,
+def _final_set(
+    chosen: frozenset[int] | None,
     instance: MCQInstance,
     a1: ExclusionResult,
     a2: Mapping[int, OptionVerdict],
-    backend: Backend,
-    config: ReasonerConfig,
 ) -> tuple[frozenset[int], bool]:
     """One path's step-3 final set and whether a fallback produced it.
 
-    A combining answer that stays unparseable or empty after one retry
-    falls back to the options judged reasonable, then to everything not
-    excluded, then to option A.
+    ``chosen`` is the parsed combining answer, None when it stayed
+    unparseable or empty after one retry; then the path falls back to
+    the options judged reasonable, then to everything not excluded, then
+    to option A.
     """
-    chosen, _ = _ask(
-        prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3,
-        instance.id, backend, config,
-    )
     if chosen is not None:
         return chosen, False
     chosen = frozenset(i for i, v in a2.items() if v.verdict is Verdict.REASONABLE)
@@ -402,8 +389,9 @@ def run_strategy(
     ``rex_got`` runs its step-2 and step-3 calls on ``pool``, a thread
     pool whose tasks never wait on each other; one instance keeps at
     most K·m calls in flight. Without a pool, one that wide is created
-    for the call. The other strategies make every call on the calling
-    thread.
+    for the call. Greedy step-2 and step-3 questions that several paths
+    ask alike are asked once, so ``backend`` needs no wrapper to share
+    them. The other strategies make every call on the calling thread.
     """
     config = config or ReasonerConfig()
     if strategy is Strategy.STANDARD:
@@ -426,8 +414,25 @@ def _rex_got(
     exclusions = run_step1(instance, backend, config)
     verdicts: list[dict[int, OptionVerdict]] = [{} for _ in exclusions]
     combined: dict[int, tuple[frozenset[int], bool]] = {}
-    # Each pending call maps to (path id, option index), or (path id, None) for step 3.
-    pending: dict[Future, tuple[int, int | None]] = {}
+    # Greedy calls by prompt: paths that ask the same question share its call.
+    # Only this thread touches it, so it needs no lock.
+    shared: dict[str, Future] = {}
+    # Each pending call maps to the (path id, option index) pairs it answers,
+    # with option index None for step 3.
+    pending: dict[Future, list[tuple[int, int | None]]] = {}
+
+    def ask(
+        prompt: str, parse: Callable[[str], object], temperature: float,
+        answers: tuple[int, int | None],
+    ) -> None:
+        future = shared.get(prompt)
+        if future is None:
+            future = pool.submit(_ask, prompt, parse, temperature, instance.id, backend, config)
+            if temperature == 0:
+                shared[prompt] = future
+        # A finished call goes back into ``pending`` and is delivered on the next wait.
+        pending.setdefault(future, []).append(answers)
+
     try:
         for path_id, a1 in enumerate(exclusions):
             for i in range(instance.m):
@@ -435,28 +440,32 @@ def _rex_got(
                     instance, PromptKind.STEP2_VERDICT, a1=a1.raw_text, option_index=i,
                     max_prompt_tokens=config.max_prompt_tokens,
                 )
-                future = pool.submit(_verdict_with_retry, prompt, instance.id, backend, config)
-                pending[future] = (path_id, i)
+                ask(prompt, parse_verdict, config.temperature_step2, (path_id, i))
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                path_id, i = pending.pop(future)
-                if i is None:
-                    combined[path_id] = future.result()
-                    continue
-                verdicts[path_id][i] = future.result()
-                if len(verdicts[path_id]) == instance.m:
-                    # Rendered on this thread, not on the pool: many pool threads
-                    # rendering at once raised peak memory. Verdicts go in option order.
+                parsed, text = future.result()
+                for path_id, i in pending.pop(future):
                     a1 = exclusions[path_id]
-                    a2 = verdicts[path_id] = dict(sorted(verdicts[path_id].items()))
-                    prompt = render_prompt(
-                        instance, PromptKind.STEP3_COMBINE, a1=a1.raw_text,
-                        a2={j: v.raw_text for j, v in a2.items()},
-                        max_prompt_tokens=config.max_prompt_tokens,
-                    )
-                    future = pool.submit(_combine, prompt, instance, a1, a2, backend, config)
-                    pending[future] = (path_id, None)
+                    if i is None:
+                        combined[path_id] = _final_set(parsed, instance, a1, verdicts[path_id])
+                        continue
+                    # A verdict still unparseable after its retry abstains.
+                    verdict = parsed if parsed is not None else Verdict.ABSTAIN
+                    verdicts[path_id][i] = OptionVerdict(verdict=verdict, raw_text=text)
+                    if len(verdicts[path_id]) == instance.m:
+                        # Rendered on this thread, not on the pool: many pool threads
+                        # rendering at once raised peak memory. Verdicts go in option order.
+                        a2 = verdicts[path_id] = dict(sorted(verdicts[path_id].items()))
+                        prompt = render_prompt(
+                            instance, PromptKind.STEP3_COMBINE, a1=a1.raw_text,
+                            a2={j: v.raw_text for j, v in a2.items()},
+                            max_prompt_tokens=config.max_prompt_tokens,
+                        )
+                        ask(
+                            prompt, lambda t: parse_final_set(t, instance.m),
+                            config.temperature_step3, (path_id, None),
+                        )
     finally:
         # On failure, no call of this instance may outlive it.
         for future in pending:

@@ -6,13 +6,11 @@ import re
 import stat
 import sys
 import threading
-import time
 
 import pytest
 
 from rexgot.backend import (
     AuthError,
-    BackendError,
     CachingBackend,
     Completion,
     CompletionRequest,
@@ -23,7 +21,6 @@ from rexgot.backend import (
     ReplayMiss,
     ScriptedBackend,
     ScriptMiss,
-    SingleFlightBackend,
     TransportError,
     _canonical_request,
     cache_key,
@@ -427,86 +424,6 @@ def test_concurrent_misses_of_one_request_store_one_entry(tmp_path):
     assert backend.complete(req) == [Completion(text=stored["text"])]
 
 
-class GatedBackend:
-    """Counts calls and holds each one until ``gate`` is set."""
-
-    def __init__(self, error=None):
-        self.gate = threading.Event()
-        self.calls = 0
-        self.error = error
-        self._lock = threading.Lock()
-
-    def complete(self, req):
-        with self._lock:
-            self.calls += 1
-            call = self.calls
-        assert self.gate.wait(timeout=10)
-        if self.error is not None:
-            raise self.error
-        return [Completion(text=f"call {call}")] * req.n_samples
-
-
-def run_threads(backend, req, n):
-    """Start n threads calling ``backend.complete(req)``; returns (threads, results)."""
-    results = [None] * n
-
-    def caller(i):
-        try:
-            results[i] = backend.complete(req)
-        except BackendError as exc:
-            results[i] = exc
-
-    threads = [threading.Thread(target=caller, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    return threads, results
-
-
-def join_all(threads):
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-
-
-def test_single_flight_coalesces_identical_greedy_requests():
-    inner = GatedBackend()
-    backend = SingleFlightBackend(inner)
-    threads, results = run_threads(backend, request(), 8)
-    time.sleep(0.3)  # every caller joins the one flight before it lands
-    inner.gate.set()
-    join_all(threads)
-    assert inner.calls == 1
-    assert all(r == [Completion(text="call 1")] for r in results)
-    assert backend.complete(request()) == [Completion(text="call 2")]  # nothing is kept
-
-
-def test_single_flight_never_coalesces_sampled_requests():
-    inner = GatedBackend()
-    backend = SingleFlightBackend(inner)
-    threads, results = run_threads(backend, request(temperature=0.7), 6)
-    deadline = time.monotonic() + 10
-    while inner.calls < 6 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    inner.gate.set()
-    join_all(threads)
-    assert inner.calls == 6
-    assert sorted(r[0].text for r in results) == [f"call {i}" for i in range(1, 7)]
-
-
-def test_single_flight_error_reaches_every_waiter_and_is_not_kept():
-    inner = GatedBackend(error=TransportError("down"))
-    backend = SingleFlightBackend(inner)
-    threads, results = run_threads(backend, request(), 5)
-    time.sleep(0.3)
-    inner.gate.set()
-    join_all(threads)
-    assert inner.calls == 1
-    assert all(isinstance(r, TransportError) for r in results)
-    inner.error = None
-    assert backend.complete(request()) == [Completion(text="call 2")]
-    assert inner.calls == 2
-
-
 def test_store_into_missing_version_dir_creates_it(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -667,13 +584,10 @@ def test_request_is_serialized_once_per_call(tmp_path, monkeypatch):
     monkeypatch.setattr(
         backend_module, "_canonical_request", lambda req: serialized.append(req) or canonical(req)
     )
-    backend = SingleFlightBackend(CachingBackend(CountingBackend(), tmp_path / "cache"))
+    backend = CachingBackend(CountingBackend(), tmp_path / "cache")
     req = request(prompt="once")
     backend.complete(req)
     assert len(serialized) == 1
     [line] = segment_lines(tmp_path / "cache")
     stored = json.loads(line)
     assert stored["request"] == json.loads(canonical(req))
-    # The kept digest is not a field: equality and hashing still see only the fields.
-    twin = request(prompt="once")
-    assert req == twin and hash(req) == hash(twin) and repr(req) == repr(twin)

@@ -196,7 +196,9 @@ def test_partial_failures_recorded_not_fatal(tmp_path, bob_movie_instance, capsy
     out_dir = tmp_path / "out"
     code = main(run_args(corpus_path, scripts_path, out_dir))
     assert code == 1
-    assert "1 instance run(s) failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1 instance run(s) failed" in err
+    assert "rexgot: instance uncovered: no script for prompt digest" in err
     lines = [json.loads(l) for l in (out_dir / "predictions.jsonl").read_text().splitlines()]
     degenerate = next(l for l in lines if l["instance_id"] == "uncovered")
     assert degenerate["fallback_used"] is True

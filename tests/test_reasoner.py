@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -378,13 +379,51 @@ def test_rex_got_bob_movie_unanimous(bob_movie_instance):
     assert prediction.vote_tally == {0: 3, 1: 3, 2: 0, 3: 0, 4: 3}
 
 
+class StepBackend:
+    """Step 1 samples ``a1_texts`` in turn; every verdict is reasonable, every answer A."""
+
+    def __init__(self, a1_texts):
+        self.a1_texts = a1_texts
+
+    def complete(self, request):
+        if VERDICTS_HEADER in request.prompt:
+            texts = ["Answer: A"] * request.n_samples
+        elif EXCLUSION_HEADER in request.prompt:
+            texts = ["Verdict: reasonable"] * request.n_samples
+        else:
+            texts = self.a1_texts[: request.n_samples]
+        return [Completion(text=text) for text in texts]
+
+
 def test_rex_got_call_budget(bob_movie_instance):
-    backend = CountingWrapper(scripted_rex_backend(bob_movie_instance))
     k, m = 3, bob_movie_instance.m
-    run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, ReasonerConfig(k=k))
-    # One batched step-1 request, then per path: m verdicts + 1 combine.
-    assert len(backend.requests) == 1 + k * m + k
+    # K distinct step-1 texts: one batched step-1 request, then per path m verdicts + 1 combine.
+    backend = CountingWrapper(StepBackend(["Excluded: A", "Excluded: B", "Excluded: C"]))
+    prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, ReasonerConfig(k=k))
+    assert len(backend.requests) == 1 + k * (m + 1)
     assert backend.requests[0].n_samples == k
+    assert [p.a1.excluded for p in prediction.paths] == [{0}, {1}, {2}]
+    # K identical step-1 texts ask every path the same questions, once each.
+    backend = CountingWrapper(scripted_rex_backend(bob_movie_instance))
+    prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, ReasonerConfig(k=k))
+    assert len(backend.requests) == 1 + m + 1
+    assert backend.requests[0].n_samples == k
+    assert len(prediction.paths) == k
+    assert prediction.vote_tally == {0: k, 1: k, 2: 0, 3: 0, 4: k}
+
+
+def test_rex_got_sampled_step2_calls_are_never_shared(bob_movie_instance):
+    k, m = 3, bob_movie_instance.m
+    backend = CountingWrapper(scripted_rex_backend(bob_movie_instance))
+    config = ReasonerConfig(k=k, temperature_step2=0.5)
+    prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config)
+    step2 = step_requests(backend.requests, 2)
+    assert len(step2) == k * m
+    assert all(r.temperature == 0.5 for r in step2)
+    assert len({r.prompt for r in step2}) == m
+    # Step 3 stays greedy: the K equal combining prompts still share one call.
+    assert len(step_requests(backend.requests, 3)) == 1
+    assert prediction.chosen == frozenset({0, 1, 4})
 
 
 def test_standard_strategy_single_call(bob_movie_instance):
@@ -583,14 +622,17 @@ def two_exclusion_backend(instance):
 def test_rex_got_fan_out_result_independent_of_completion_order(bob_movie_instance):
     config = ReasonerConfig(k=3)
     k, m = config.k, bob_movie_instance.m
-    results = []
+    results, calls = [], []
     for delay in (lambda p: prompt_rank(p) * 0.002, lambda p: (7 - prompt_rank(p)) * 0.002):
         backend = SleepyBackend(two_exclusion_backend(bob_movie_instance), delay)
         prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config)
         assert 1 < backend.peak <= k * m
-        assert backend.calls == 1 + k * m + 1 + k  # path 1 retries its one bad verdict
+        calls.append(backend.calls)
         graph = build_graph(bob_movie_instance, prediction.paths)
         results.append((prediction, build_trace(bob_movie_instance, prediction, graph)))
+    # Paths 0 and 2 share their exclusion text, so they share their step-2 and
+    # step-3 calls; path 1 retries its one bad verdict.
+    assert calls == [1 + 2 * m + 1 + 2] * 2
     (first, first_trace), (second, second_trace) = results
     assert first == second
     assert first.paths == second.paths
@@ -627,6 +669,58 @@ def test_rex_got_step2_failure_surfaces_and_leaves_no_call_running(bob_movie_ins
     assert info.value.instance_id == bob_movie_instance.id
     assert isinstance(info.value.cause, TransportError)
     assert calls_at_return < 1 + config.k * bob_movie_instance.m
+
+
+def test_rex_got_shared_call_failure_surfaces_once_and_leaves_no_call_running(
+    bob_movie_instance,
+):
+    config = ReasonerConfig(k=3)
+    m = bob_movie_instance.m
+    failing = render_prompt(
+        bob_movie_instance, PromptKind.STEP2_VERDICT, a1=BOB_EXCLUSION_TEXT, option_index=m - 1
+    )
+    backend = SleepyBackend(
+        scripted_rex_backend(bob_movie_instance), lambda p: 0.05, fail_prompt=failing
+    )
+    wrapper = CountingWrapper(backend)
+    with ThreadPoolExecutor(max_workers=config.k * m) as pool:
+        with pytest.raises(InstanceBackendError) as info:
+            run_strategy(bob_movie_instance, Strategy.REX_GOT, wrapper, config, pool)
+        assert backend.in_flight == 0
+    assert isinstance(info.value.cause, TransportError)
+    # All K paths ask the failing question; it reached the backend once.
+    assert [r.prompt for r in wrapper.requests].count(failing) == 1
+    assert backend.calls == 1 + m
+
+
+def test_rex_got_call_count_is_fixed_by_step1_texts_under_load():
+    # The instances render equal prompts, yet each shares calls only within
+    # itself, so the count is the same whatever the timing of the threads.
+    n, k, m = 8, 3, 4
+    config = ReasonerConfig(k=k)
+    backend = SleepyBackend(
+        StepBackend(["Excluded: A", "Excluded: B", "Excluded: A"]),
+        lambda p: prompt_rank(p) * 0.001,
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=n * k * m) as calls, \
+                ThreadPoolExecutor(max_workers=n) as instances:
+            futures = [
+                instances.submit(
+                    run_strategy, make_instance(f"i{j}", m=m), Strategy.REX_GOT, backend,
+                    config, calls,
+                )
+                for j in range(n)
+            ]
+            predictions = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # Per instance: step 1, then m verdicts and one combine for each of the two texts.
+    assert backend.calls == n * (1 + 2 * (m + 1))
+    assert backend.in_flight == 0
+    assert all(p.chosen == frozenset({0}) and not p.fallback_used for p in predictions)
 
 
 # --- retry contract ---------------------------------------------------------
