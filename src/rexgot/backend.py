@@ -12,7 +12,6 @@ all samples must be identical.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import logging
@@ -181,6 +180,8 @@ class ScriptedBackend:
         return [Completion(text=t) for t in texts]
 
     def _nearest(self, prompt: str) -> str | None:
+        import difflib
+
         best_key, best_score = None, -1.0
         for key, source in sorted(self._sources.items()):
             score = difflib.SequenceMatcher(None, prompt, source).ratio()
@@ -195,22 +196,23 @@ Transport = Callable[..., tuple[int, Mapping[str, str], str]]
 class KeepAliveTransport:
     """HTTP/1.1 POST of a JSON body over reused sockets, framed by hand.
 
-    Idle connections are kept per origin and lent to one call at a time,
-    so a thread making calls one after another reuses one connection per
-    host. A reused connection that the server has closed is replaced
-    once. ``http.client`` only connects: it sets ``TCP_NODELAY``, opens
-    the proxy ``CONNECT`` tunnel for HTTPS and does TLS, verified with
-    ``ssl.create_default_context()``. Each request then goes out as one
+    Idle sockets are kept per origin and lent to one call at a time, so
+    a thread making calls one after another reuses one connection per
+    host. A reused socket that the server has closed is replaced once.
+    A connection is a ``socket.create_connection`` with ``TCP_NODELAY``
+    set; for HTTPS through a proxy a hand-written ``CONNECT`` opens the
+    tunnel, and HTTPS is then wrapped in TLS, verified with
+    ``ssl.create_default_context()``. Each request goes out as one
     message, and the response is read straight off the socket: its body
     is delimited by ``Content-Length``, by chunked transfer coding, or by
     the server closing the connection, which is then not reused; a body
     cut short is a :class:`TransportError`, never a shorter text. A
-    connection goes back to the idle pool only after an HTTP/1.1
-    response without ``Connection: close``. Proxies come from
-    ``http_proxy``, ``https_proxy``, ``all_proxy`` and ``no_proxy``, read
-    at the first call to each origin. The standard library modules this
-    needs are imported on first use, which keeps them out of start-up
-    time.
+    socket goes back to the idle pool only after an HTTP/1.1 response
+    without ``Connection: close``. Proxies come from environment
+    variables only (see :func:`_environment_proxy`), read at the first
+    call to each origin. ``socket`` is imported on the first connection
+    and ``ssl`` on the first HTTPS one, which keeps them out of start-up
+    time; plain-HTTP runs never load ``ssl``.
     """
 
     def __init__(self):
@@ -257,8 +259,8 @@ class KeepAliveTransport:
             try:
                 if conn is None:
                     conn = self._connect(scheme, host, port, proxy, timeout)
-                conn.sock.sendall(message)
-                status, response_headers, raw, keep = _read_response(conn.sock)
+                conn.sendall(message)
+                status, response_headers, raw, keep = _read_response(conn)
             except (OSError, TransportError) as exc:
                 if conn is not None:
                     conn.close()
@@ -282,33 +284,27 @@ class KeepAliveTransport:
         return self._proxies[origin]
 
     def _connect(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
-        import http.client
+        import socket
 
         address = (host, port)
         if proxy is not None:
             proxy_parts = urllib.parse.urlsplit(proxy)
             address = (proxy_parts.hostname or "", proxy_parts.port or 80)
-        if scheme != "https":
-            conn = http.client.HTTPConnection(*address, timeout=timeout)
-        else:
-            if self._ssl_context is None:
-                import ssl
-
-                self._ssl_context = ssl.create_default_context()
-            conn = http.client.HTTPSConnection(
-                *address, timeout=timeout, context=self._ssl_context
-            )
-            if proxy is not None:
-                conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+        sock = socket.create_connection(address, timeout)
         try:
-            conn.connect()
-        except http.client.HTTPException as exc:
-            conn.close()
-            raise TransportError(f"no connection: {exc!r}") from exc
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                if proxy is not None:
+                    _open_tunnel(sock, host, port, proxy)
+                if self._ssl_context is None:
+                    import ssl
+
+                    self._ssl_context = ssl.create_default_context()
+                sock = self._ssl_context.wrap_socket(sock, server_hostname=host)
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        return conn
+        return sock
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -459,7 +455,18 @@ def _host_header(host: str, port: int, default_port: int) -> str:
 
 
 def _environment_proxy(scheme: str, host: str) -> str | None:
-    """The proxy URL the environment sets for ``scheme``, unless ``host`` bypasses it."""
+    """The proxy URL the environment sets for ``scheme``, unless ``host`` bypasses it.
+
+    Only environment variables count: ``<scheme>_proxy`` and
+    ``all_proxy`` in any case, with ``no_proxy`` for bypasses. When
+    neither proxy variable has a value this is None without importing
+    ``urllib.request``, so the system proxy settings of macOS and
+    Windows are not read; otherwise ``urllib.request.getproxies`` and
+    ``proxy_bypass`` decide.
+    """
+    wanted = (f"{scheme}_proxy", "all_proxy")
+    if not any(value for name, value in os.environ.items() if name.lower() in wanted):
+        return None
     from urllib.request import getproxies, proxy_bypass
 
     proxies = getproxies()
@@ -467,6 +474,24 @@ def _environment_proxy(scheme: str, host: str) -> str | None:
     if not proxy or proxy_bypass(host):
         return None
     return proxy if "://" in proxy else f"http://{proxy}"
+
+
+def _open_tunnel(sock, host: str, port: int, proxy: str) -> None:
+    """Ask the proxy at the other end of ``sock`` for a tunnel to ``host:port``."""
+    authority = _host_header(host, port, default_port=0)  # always with the port
+    fields = "".join(f"{name}: {value}\r\n" for name, value in _proxy_auth(proxy).items())
+    sock.sendall(
+        f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}\r\n{fields}\r\n".encode("ascii")
+    )
+    reader = _Reader(sock)
+    lines = reader.head()
+    if lines is None:
+        raise TransportError("proxy closed the connection without answering CONNECT")
+    match = _STATUS_LINE.fullmatch(lines[0])
+    if match is None or match.group(2) != "200":
+        raise TransportError(f"proxy refused CONNECT: {lines[0][:80]!r}")
+    if reader.buffer:
+        raise TransportError("proxy sent bytes after its CONNECT response")
 
 
 def _proxy_auth(proxy: str) -> dict[str, str]:
