@@ -190,75 +190,77 @@ class ScriptedBackend:
         return best_key
 
 
-Transport = Callable[..., tuple[int, Mapping[str, str], str]]
+# POSTs one JSON body to a fixed endpoint: (status, headers by lower-case name, body text).
+Transport = Callable[[dict], tuple[int, Mapping[str, str], str]]
 
 
 class KeepAliveTransport:
-    """HTTP/1.1 POST of a JSON body over reused sockets, framed by hand.
+    """HTTP/1.1 POSTs of JSON bodies to one URL over reused sockets, framed by hand.
 
-    Idle sockets are kept per origin and lent to one call at a time, so
-    a thread making calls one after another reuses one connection per
-    host. A reused socket that the server has closed is replaced once.
-    A connection is a ``socket.create_connection`` with ``TCP_NODELAY``
-    set; for HTTPS through a proxy a hand-written ``CONNECT`` opens the
-    tunnel, and HTTPS is then wrapped in TLS, verified with
+    Construction parses and checks the URL (``http(s)://host[:port]``,
+    else :class:`ValueError`, as for a header with CR or LF), reads the
+    proxy route from environment variables only (see
+    :func:`_environment_proxy`) and builds the request head. A call only
+    serializes its body. Idle sockets are lent to one call at a time, so
+    a thread making calls one after another reuses one connection. A
+    reused socket that the server has closed is replaced once. A
+    connection is a ``socket.create_connection`` with ``TCP_NODELAY`` set;
+    for HTTPS through a proxy a hand-written ``CONNECT`` opens the tunnel,
+    and HTTPS is then wrapped in TLS, verified with
     ``ssl.create_default_context()``. Each request goes out as one
     message, and the response is read straight off the socket: its body
     is delimited by ``Content-Length``, by chunked transfer coding, or by
     the server closing the connection, which is then not reused; a body
-    cut short is a :class:`TransportError`, never a shorter text. A
-    socket goes back to the idle pool only after an HTTP/1.1 response
-    without ``Connection: close``. Proxies come from environment
-    variables only (see :func:`_environment_proxy`), read at the first
-    call to each origin. ``socket`` is imported on the first connection
+    cut short is a :class:`TransportError`, never a shorter text. A socket
+    goes back to the idle pool only after an HTTP/1.1 response without
+    ``Connection: close``. ``socket`` is imported on the first connection
     and ``ssl`` on the first HTTPS one, which keeps them out of start-up
     time; plain-HTTP runs never load ``ssl``.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._idle: dict[tuple, list] = {}
-        self._proxies: dict[tuple[str, str], str | None] = {}
-        self._ssl_context = None
-
-    def __call__(
-        self, url: str, body: dict[str, Any], headers: Mapping[str, str], timeout: float
-    ) -> tuple[int, Mapping[str, str], str]:
+    def __init__(self, url: str, headers: Mapping[str, str], timeout: float):
         parts = urllib.parse.urlsplit(url)
-        scheme, host = parts.scheme, parts.hostname or ""
-        default_port = 443 if scheme == "https" else 80
-        port = parts.port or default_port
-        proxy = self._proxy(scheme, host)
+        self._url, self._scheme, self._host = url, parts.scheme, parts.hostname or ""
+        if self._scheme not in ("http", "https") or not self._host:
+            raise ValueError(f"URL must be http(s)://host[:port], got {url!r}")
+        default_port = 443 if self._scheme == "https" else 80
+        self._port = parts.port or default_port
+        self._proxy = _environment_proxy(self._scheme, self._host)
+        self._address = (self._host, self._port)
+        if self._proxy is not None:
+            proxy_parts = urllib.parse.urlsplit(self._proxy)
+            self._address = (proxy_parts.hostname or "", proxy_parts.port or 80)
+        self._timeout = timeout
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         headers = dict(headers)
-        if proxy is not None and scheme == "http":
+        if self._proxy is not None and self._scheme == "http":
             target = url
-            headers.update(_proxy_auth(proxy))
+            headers.update(_proxy_auth(self._proxy))
         fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
         if fields.count("\n") != len(headers) or fields.count("\r") != len(headers):
             raise ValueError("header names and values must not contain CR or LF")
         if _URL_UNSAFE.search(target):
             raise ValueError(f"URL must not contain spaces or control characters: {url!r}")
-        payload = json.dumps(body).encode("utf-8")
-        message = (
-            f"POST {target} HTTP/1.1\r\n".encode("ascii")
-            + (
-                f"Host: {_host_header(host, port, default_port)}\r\n"
-                f"Accept-Encoding: identity\r\nContent-Length: {len(payload)}\r\n"
-                f"{fields}\r\n"
-            ).encode("latin-1")
-            + payload
-        )
-        key = (scheme, host, port, proxy, timeout)
+        # The request head around its one varying field, the body's length.
+        self._head = f"POST {target} HTTP/1.1\r\n".encode("ascii") + (
+            f"Host: {_host_header(self._host, self._port, default_port)}\r\n"
+            f"Accept-Encoding: identity\r\nContent-Length: "
+        ).encode("latin-1")
+        self._fields = f"\r\n{fields}\r\n".encode("latin-1")
+        self._lock = threading.Lock()
+        self._idle: list = []
+        self._ssl_context = None
 
+    def __call__(self, body: dict[str, Any]) -> tuple[int, Mapping[str, str], str]:
+        payload = json.dumps(body).encode("utf-8")
+        message = b"%s%d%s%s" % (self._head, len(payload), self._fields, payload)
         with self._lock:
-            idle = self._idle.get(key)
-            conn = idle.pop() if idle else None
+            conn = self._idle.pop() if self._idle else None
         reused = conn is not None
         while True:
             try:
                 if conn is None:
-                    conn = self._connect(scheme, host, port, proxy, timeout)
+                    conn = self._connect()
                 conn.sendall(message)
                 status, response_headers, raw, keep = _read_response(conn)
             except (OSError, TransportError) as exc:
@@ -268,39 +270,29 @@ class KeepAliveTransport:
                     # The server closed the idle connection; try once afresh.
                     conn, reused = None, False
                     continue
-                raise TransportError(f"POST {url} failed: {exc}") from exc
+                raise TransportError(f"POST {self._url} failed: {exc}") from exc
             break
         if keep:
             with self._lock:
-                self._idle.setdefault(key, []).append(conn)
+                self._idle.append(conn)
         else:
             conn.close()
         return status, response_headers, raw.decode("utf-8", "replace")
 
-    def _proxy(self, scheme: str, host: str) -> str | None:
-        origin = (scheme, host)
-        if origin not in self._proxies:
-            self._proxies[origin] = _environment_proxy(scheme, host)
-        return self._proxies[origin]
-
-    def _connect(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
+    def _connect(self):
         import socket
 
-        address = (host, port)
-        if proxy is not None:
-            proxy_parts = urllib.parse.urlsplit(proxy)
-            address = (proxy_parts.hostname or "", proxy_parts.port or 80)
-        sock = socket.create_connection(address, timeout)
+        sock = socket.create_connection(self._address, self._timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if scheme == "https":
-                if proxy is not None:
-                    _open_tunnel(sock, host, port, proxy)
+            if self._scheme == "https":
+                if self._proxy is not None:
+                    _open_tunnel(sock, self._host, self._port, self._proxy)
                 if self._ssl_context is None:
                     import ssl
 
                     self._ssl_context = ssl.create_default_context()
-                sock = self._ssl_context.wrap_socket(sock, server_hostname=host)
+                sock = self._ssl_context.wrap_socket(sock, server_hostname=self._host)
         except BaseException:
             sock.close()
             raise
@@ -309,10 +301,9 @@ class KeepAliveTransport:
     def close(self) -> None:
         """Close every idle connection."""
         with self._lock:
-            idle, self._idle = self._idle, {}
-        for conns in idle.values():
-            for conn in conns:
-                conn.close()
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 _RECV_BYTES = 4096  # first read of a response; a body is then read by its length
@@ -509,10 +500,12 @@ def _proxy_auth(proxy: str) -> dict[str, str]:
 class HTTPBackend:
     """Client for OpenAI-compatible chat-completions endpoints.
 
-    The API key is read from the ``REXGOT_API_KEY`` environment variable
-    (never from the command line). Transient failures retry up to
-    ``max_retries`` times with exponential backoff; auth and protocol
-    errors never retry.
+    The URL, ``<base_url>/v1/chat/completions``, and the headers, with
+    the API key from the ``REXGOT_API_KEY`` environment variable (never
+    from the command line), are fixed at construction in the
+    :class:`KeepAliveTransport` made then; a ``transport`` passed in
+    replaces it and is given only the request bodies. Transient failures retry up to ``max_retries`` times with exponential
+    backoff; auth and protocol errors never retry.
     """
 
     def __init__(
@@ -523,18 +516,20 @@ class HTTPBackend:
         transport: Transport | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.api_key = os.environ.get(API_KEY_ENV, "")
-        self.timeout = timeout
         self.max_retries = max_retries
-        self._transport = transport or KeepAliveTransport()
         self._sleep = sleeper
+        if transport is None:
+            headers = {"Content-Type": "application/json"}
+            if api_key := os.environ.get(API_KEY_ENV, ""):
+                headers["Authorization"] = f"Bearer {api_key}"
+            url = f"{base_url.rstrip('/')}/v1/chat/completions"
+            transport = KeepAliveTransport(url, headers, timeout)
+        self._transport = transport
 
     def close(self) -> None:
         _close(self._transport)
 
     def complete(self, request: CompletionRequest) -> list[Completion]:
-        url = f"{self.base_url}/v1/chat/completions"
         body: dict[str, Any] = {
             "model": request.model_name,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -544,14 +539,10 @@ class HTTPBackend:
         }
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
         attempt = 0
         while True:
             try:
-                status, resp_headers, text = self._transport(url, body, headers, self.timeout)
+                status, resp_headers, text = self._transport(body)
                 return self._parse_response(status, resp_headers, text, request.n_samples)
             except (TransportError, RateLimited) as exc:
                 if attempt >= self.max_retries:
@@ -571,8 +562,7 @@ class HTTPBackend:
             raise AuthError(f"credential rejected (HTTP {status})")
         if status == 429:
             after = 1.0
-            retry_after = headers.get("Retry-After") or headers.get("retry-after")
-            if retry_after:
+            if retry_after := headers.get("retry-after"):
                 try:
                     after = float(retry_after)
                 except ValueError:

@@ -32,7 +32,7 @@ from .backend import (
     purge_cache,
     segment_paths,
 )
-from .dataset import FORMATS, Corpus, corpus_stats, load_corpus
+from .dataset import FORMATS, corpus_stats, load_corpus
 from .evaluation import BucketScore, EvalReport, compare_report, evaluate, write_report_files
 from .model import MCQInstance, Prediction, RexGotError, Strategy
 from .prompts import template_version
@@ -48,6 +48,8 @@ from .reasoner import (
 )
 
 BACKEND_KINDS = ("http", "scripted")
+# What a config file may give for each RunConfig field type.
+_VALUE_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float)}
 
 
 class ConfigError(RexGotError):
@@ -78,7 +80,8 @@ class RunConfig:
     max_tokens: int = 512
     max_prompt_tokens: int | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> ReasonerConfig:
+        """Check every setting; returns the reasoner configuration they make."""
         if self.format not in FORMATS:
             raise ConfigError(f"unknown corpus format {self.format!r}")
         if self.strategy not in {s.value for s in Strategy}:
@@ -87,8 +90,21 @@ class RunConfig:
             raise ConfigError(f"unknown backend kind {self.backend!r}")
         if self.cache_mode not in CACHE_MODES:
             raise ConfigError(f"unknown cache mode {self.cache_mode!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        try:
+            reasoner_config = ReasonerConfig(
+                model_name=self.model,
+                k=self.k,
+                temperature_step1=self.temp_step1,
+                temperature_step2=self.temp_step2,
+                temperature_step3=self.temp_step3,
+                max_tokens=self.max_tokens,
+                vote_policy=VotePolicy(
+                    kind=VoteKind(self.vote_policy), tie_break=TieBreak(self.tie_break)
+                ),
+                max_prompt_tokens=self.max_prompt_tokens,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.repeat < 1:
@@ -109,6 +125,7 @@ class RunConfig:
                 raise ConfigError("http backend requires --endpoint")
             if self.backend == "scripted" and not self.scripts:
                 raise ConfigError("scripted backend requires --scripts")
+        return reasoner_config
 
     def fingerprint(self) -> str:
         """Digest of every result-shaping parameter (paths excluded)."""
@@ -130,29 +147,21 @@ class RunConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def reasoner_config(self) -> ReasonerConfig:
-        return ReasonerConfig(
-            model_name=self.model,
-            k=self.k,
-            temperature_step1=self.temp_step1,
-            temperature_step2=self.temp_step2,
-            temperature_step3=self.temp_step3,
-            max_tokens=self.max_tokens,
-            vote_policy=VotePolicy(
-                kind=VoteKind(self.vote_policy), tie_break=TieBreak(self.tie_break)
-            ),
-            max_prompt_tokens=self.max_prompt_tokens,
-        )
-
 
 def build_backend(config: RunConfig) -> Backend:
-    """The configured backend, behind the record/replay cache when one is on."""
+    """The configured backend, behind the record/replay cache when one is on.
+
+    An endpoint or credential the HTTP client cannot use is a :class:`ConfigError`.
+    """
     if config.cache_mode == CACHE_REPLAY:
         return CachingBackend(None, config.cache_dir, mode=CACHE_REPLAY)
     if config.backend == "scripted":
         backend: Backend = _load_scripted(config.scripts)
     else:
-        backend = HTTPBackend(base_url=config.endpoint)
+        try:
+            backend = HTTPBackend(base_url=config.endpoint)
+        except ValueError as exc:
+            raise ConfigError(f"http backend: {exc}") from exc
     if config.cache_mode == CACHE_RECORD:
         backend = CachingBackend(backend, config.cache_dir, mode=CACHE_RECORD)
     return backend
@@ -171,11 +180,14 @@ def _load_scripted(path: str) -> ScriptedBackend:
 
 
 def _predict_one(
-    instance: MCQInstance, config: RunConfig, backend: Backend, call_pool: Executor
+    instance: MCQInstance,
+    strategy: Strategy,
+    config: ReasonerConfig,
+    backend: Backend,
+    call_pool: Executor,
 ) -> tuple[Prediction, bool]:
-    strategy = Strategy(config.strategy)
     try:
-        return run_strategy(instance, strategy, backend, config.reasoner_config(), call_pool), False
+        return run_strategy(instance, strategy, backend, config, call_pool), False
     except BackendError as exc:
         # Long batch runs survive per-instance faults: report the fault, record
         # a degenerate full-set prediction and count it in the exit summary.
@@ -187,21 +199,6 @@ def _predict_one(
             fallback_used=True,
         )
         return prediction, True
-
-
-def _run_once(
-    corpus: Corpus,
-    config: RunConfig,
-    backend: Backend,
-    instance_pool: Executor,
-    call_pool: Executor,
-) -> tuple[list[Prediction], int]:
-    futures = {
-        instance.id: instance_pool.submit(_predict_one, instance, config, backend, call_pool)
-        for instance in corpus.instances
-    }
-    ordered = [futures[iid].result() for iid in sorted(futures)]
-    return [r[0] for r in ordered], sum(1 for r in ordered if r[1])
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -236,11 +233,8 @@ def _average_reports(reports: Sequence[EvalReport]) -> EvalReport:
 
 
 def cmd_run(config: RunConfig) -> int:
-    try:
-        config.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    reasoner_config = config.validate()
+    strategy = Strategy(config.strategy)
     corpus = load_corpus(config.corpus, format=config.format)
     fingerprint = config.fingerprint()
 
@@ -260,13 +254,18 @@ def cmd_run(config: RunConfig) -> int:
     call_pool = ThreadPoolExecutor(max_workers=call_width)
     try:
         for repeat_index in range(config.repeat):
-            predictions, repeat_failures = _run_once(
-                corpus, config, backend, instance_pool, call_pool
-            )
+            futures = {
+                instance.id: instance_pool.submit(
+                    _predict_one, instance, strategy, reasoner_config, backend, call_pool
+                )
+                for instance in corpus.instances
+            }
+            ordered = [futures[iid].result() for iid in sorted(futures)]
+            predictions = [prediction for prediction, _ in ordered]
             reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
             if repeat_index == 0:
                 first_predictions = predictions
-            failures += repeat_failures
+            failures += sum(1 for _, failed in ordered if failed)
     finally:
         # Instances first: a running instance may still wait on its calls.
         instance_pool.shutdown(cancel_futures=True)
@@ -401,6 +400,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     unknown = set(overrides) - set(known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, value in known.items():
+        kind = RunConfig.__dataclass_fields__[key].type
+        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return RunConfig(**known)
 
 

@@ -6,9 +6,6 @@ in the gold set and whose prediction is membership in the predicted set.
 The score is the unweighted mean of the positive-class and negative-class
 F1. A class with no true and no predicted samples scores F1 = 1; no true
 but some predicted scores 0.
-
-Sharded corpora merge by pooling the binary confusion counts (never by
-averaging macro-F1 scores) and by instance-weighted mean for EM.
 """
 
 from __future__ import annotations

@@ -93,6 +93,11 @@ class ReasonerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        temperatures = (self.temperature_step1, self.temperature_step2, self.temperature_step3)
+        if min(temperatures) < 0:
+            raise ValueError(f"temperatures must be >= 0, got {list(temperatures)}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -212,15 +217,6 @@ def vote(
     return chosen, tally
 
 
-def _complete(
-    backend: Backend, request: CompletionRequest, instance_id: str
-) -> list[str]:
-    try:
-        return [c.text for c in backend.complete(request)]
-    except BackendError as exc:
-        raise InstanceBackendError(instance_id, exc) from exc
-
-
 def _request(prompt: str, config: ReasonerConfig, n: int, temperature: float) -> CompletionRequest:
     return CompletionRequest(
         prompt=prompt,
@@ -238,7 +234,6 @@ def _ask(
     prompt: str,
     parse: Callable[[str], T],
     temperature: float,
-    instance_id: str,
     backend: Backend,
     config: ReasonerConfig,
     first: str | None = None,
@@ -250,7 +245,7 @@ def _ask(
     empty set count as failures. Returns (parsed value or None, last text).
     """
     request = _request(prompt, config, 1, temperature)
-    text = first if first is not None else _complete(backend, request, instance_id)[0]
+    text = first if first is not None else backend.complete(request)[0].text
     for attempt in range(2):
         try:
             parsed = parse(text)
@@ -260,7 +255,7 @@ def _ask(
             if parsed != frozenset():
                 return parsed, text
         if attempt == 0:
-            text = _complete(backend, request, instance_id)[0]
+            text = backend.complete(request)[0].text
     return None, text
 
 
@@ -275,14 +270,12 @@ def run_step1(
     prompt = render_prompt(
         instance, PromptKind.STEP1_EXCLUSION, max_prompt_tokens=config.max_prompt_tokens
     )
-    texts = _complete(
-        backend, _request(prompt, config, config.k, config.temperature_step1), instance.id
-    )
+    completions = backend.complete(_request(prompt, config, config.k, config.temperature_step1))
     results = []
-    for first in texts:
+    for first in completions:
         result, text = _ask(
             prompt, lambda t: parse_exclusions(t, instance.m), config.temperature_step1,
-            instance.id, backend, config, first=first,
+            backend, config, first=first.text,
         )
         if result is None:
             result = ExclusionResult(excluded=frozenset(), raw_text=text, parse_failed=True)
@@ -322,8 +315,7 @@ def _single_shot(
 ) -> Prediction:
     prompt = render_prompt(instance, kind, max_prompt_tokens=config.max_prompt_tokens)
     chosen, _ = _ask(
-        prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3,
-        instance.id, backend, config,
+        prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3, backend, config
     )
     return Prediction(
         instance_id=instance.id,
@@ -349,7 +341,7 @@ def _pick_loop(
         )
         parsed, _ = _ask(
             prompt, lambda t: parse_pick(t, instance.m, verb), config.temperature_step3,
-            instance.id, backend, config,
+            backend, config,
         )
         if parsed is None:
             fallback = True
@@ -391,21 +383,25 @@ def run_strategy(
     most K·m calls in flight. Without a pool, one that wide is created
     for the call. Greedy step-2 and step-3 questions that several paths
     ask alike are asked once, so ``backend`` needs no wrapper to share
-    them. The other strategies make every call on the calling thread.
+    them. The other strategies make every call on the calling thread. A
+    backend failure is raised as :class:`InstanceBackendError`.
     """
     config = config or ReasonerConfig()
-    if strategy is Strategy.STANDARD:
-        return _single_shot(instance, PromptKind.STANDARD, strategy, backend, config)
-    if strategy is Strategy.COT:
-        return _single_shot(instance, PromptKind.VANILLA_COT, strategy, backend, config)
-    if strategy is Strategy.FORWARD:
-        return _pick_loop(instance, PromptKind.FORWARD_PICK, strategy, backend, config)
-    if strategy is Strategy.BACKWARD:
-        return _pick_loop(instance, PromptKind.BACKWARD_PICK, strategy, backend, config)
-    if pool is None:
-        with ThreadPoolExecutor(max_workers=config.k * instance.m) as own_pool:
-            return _rex_got(instance, backend, config, own_pool)
-    return _rex_got(instance, backend, config, pool)
+    try:
+        if strategy is Strategy.STANDARD:
+            return _single_shot(instance, PromptKind.STANDARD, strategy, backend, config)
+        if strategy is Strategy.COT:
+            return _single_shot(instance, PromptKind.VANILLA_COT, strategy, backend, config)
+        if strategy is Strategy.FORWARD:
+            return _pick_loop(instance, PromptKind.FORWARD_PICK, strategy, backend, config)
+        if strategy is Strategy.BACKWARD:
+            return _pick_loop(instance, PromptKind.BACKWARD_PICK, strategy, backend, config)
+        if pool is None:
+            with ThreadPoolExecutor(max_workers=config.k * instance.m) as own_pool:
+                return _rex_got(instance, backend, config, own_pool)
+        return _rex_got(instance, backend, config, pool)
+    except BackendError as exc:
+        raise InstanceBackendError(instance.id, exc) from exc
 
 
 def _rex_got(
@@ -427,7 +423,7 @@ def _rex_got(
     ) -> None:
         future = shared.get(prompt)
         if future is None:
-            future = pool.submit(_ask, prompt, parse, temperature, instance.id, backend, config)
+            future = pool.submit(_ask, prompt, parse, temperature, backend, config)
             if temperature == 0:
                 shared[prompt] = future
         # A finished call goes back into ``pending`` and is delivered on the next wait.

@@ -232,11 +232,46 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_invalid_k_is_config_error(tmp_path, bob_movie_setup, capsys):
+@pytest.mark.parametrize(
+    "settings, flags, message",
+    [
+        pytest.param({}, ["--k", "0"], "k must be >= 1", id="k_below_1"),
+        pytest.param({"vote_policy": "bogus"}, [], "'bogus' is not a valid VoteKind", id="vote"),
+        pytest.param({"tie_break": "bogus"}, [], "'bogus' is not a valid TieBreak", id="tie"),
+        pytest.param(
+            {}, ["--max-tokens", "0"], "max_tokens must be >= 1, got 0", id="max_tokens_below_1"
+        ),
+        pytest.param(
+            {}, ["--temp-step1", "-1"], "temperatures must be >= 0, got [-1.0, 0.0, 0.0]",
+            id="negative_temperature",
+        ),
+        pytest.param({"workers": "2"}, [], "workers must be int, got '2'", id="str_for_int"),
+        pytest.param({"k": True}, [], "k must be int, got True", id="bool_for_int"),
+        pytest.param(
+            {"temp_step2": "0.5"}, [], "temp_step2 must be float, got '0.5'", id="str_for_float"
+        ),
+        pytest.param(
+            {"max_prompt_tokens": 1.5}, [], "max_prompt_tokens must be int | None, got 1.5",
+            id="float_for_optional_int",
+        ),
+    ],
+)
+def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings, flags, message):
     corpus_path, scripts_path = bob_movie_setup
-    code = main(run_args(corpus_path, scripts_path, tmp_path / "out", "--k", "0"))
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(settings))
+    out_dir = tmp_path / "out"
+    code = main(run_args(corpus_path, scripts_path, out_dir, "--config", str(config_path), *flags))
     assert code == 2
-    assert "k must be >= 1" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_malformed_scripts_file_is_an_error(tmp_path, bob_movie_setup, capsys):
+    corpus_path, scripts_path = bob_movie_setup
+    scripts_path.write_text("{not json", "utf-8")
+    assert main(run_args(corpus_path, scripts_path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_compare_command_five_reports(tmp_path, capsys):
@@ -316,14 +351,39 @@ def test_missing_corpus_file_is_reported_not_raised(tmp_path, capsys):
     assert "missing.jsonl" in capsys.readouterr().err
 
 
-def test_http_backend_without_endpoint_is_config_error(tmp_path, capsys):
+BAD_URL = "http backend: URL must be http(s)://host[:port], got"
+
+
+@pytest.mark.parametrize(
+    "endpoint, api_key, message",
+    [
+        pytest.param(None, "", "http backend requires --endpoint", id="no_endpoint"),
+        pytest.param(
+            "http://127.0.0.1:notaport", "", "http backend: Port could not be cast", id="port"
+        ),
+        pytest.param("localhost:9", "", f"{BAD_URL} 'localhost:9/v1", id="no_scheme"),
+        pytest.param("ftp://127.0.0.1:9", "", f"{BAD_URL} 'ftp://", id="ftp"),
+        pytest.param("http://:9", "", f"{BAD_URL} 'http://:9/v1", id="no_host"),
+        pytest.param(
+            "http://127.0.0.1:9", "sk-1\r\nX: 1",
+            "http backend: header names and values must not contain CR", id="crlf_in_api_key",
+        ),
+    ],
+)
+def test_bad_http_setting_is_config_error(
+    tmp_path, monkeypatch, capsys, endpoint, api_key, message
+):
+    monkeypatch.setenv("REXGOT_API_KEY", api_key)
     corpus_path = _toy_corpus(tmp_path)
+    out_dir = tmp_path / "out"
+    endpoint_flag = [] if endpoint is None else ["--endpoint", endpoint]
     code = main([
         "run", "--corpus", str(corpus_path), "--strategy", "cot",
-        "--backend", "http", "--out", str(tmp_path / "out"),
+        "--backend", "http", *endpoint_flag, "--out", str(out_dir),
     ])
     assert code == 2
-    assert "requires --endpoint" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_run_writes_only_inside_out_and_cache(tmp_path, bob_movie_setup, monkeypatch):

@@ -44,6 +44,7 @@ class Handler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.paths.append(self.path)
             self.server.proxy_auth.append(self.headers.get("Proxy-Authorization"))
+            self.server.request_headers.append(self.headers)
             status, headers, body = (
                 self.server.replies.pop(0) if self.server.replies else (200, {}, chat_body("ok"))
             )
@@ -74,6 +75,7 @@ class Server(ThreadingHTTPServer):
         self.connections = 0
         self.paths: list[str] = []
         self.proxy_auth: list[str | None] = []
+        self.request_headers: list = []
         self.replies: list[tuple[int, dict, bytes]] = []
         self.drop_after_reply = False
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
@@ -118,6 +120,27 @@ def test_sequential_calls_share_one_connection(server):
         backend.close()
     assert server.connections == 1
     assert server.paths == ["/v1/chat/completions"] * 3
+
+
+@pytest.mark.parametrize("api_key", ["sk-test", None])
+def test_credential_and_content_type_on_the_wire(server, monkeypatch, api_key):
+    if api_key is None:
+        monkeypatch.delenv("REXGOT_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("REXGOT_API_KEY", api_key)
+    backend = HTTPBackend(server.url + "/", timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request())[0].text == "ok"
+    finally:
+        backend.close()
+    assert server.paths == ["/v1/chat/completions"]
+    (headers,) = server.request_headers
+    assert headers.get_all("Content-Type") == ["application/json"]
+    expected = None if api_key is None else [f"Bearer {api_key}"]
+    assert headers.get_all("Authorization") == expected
+    names = ["Host", "Accept-Encoding", "Content-Length", "Content-Type"]
+    assert headers.keys() == names + (["Authorization"] if api_key else [])
+    assert headers["Host"] == server.url.removeprefix("http://")
 
 
 def test_reconnects_once_after_server_closed_idle_connection(server):
@@ -372,19 +395,16 @@ def test_proxy_environment_is_read_once_per_origin(server, monkeypatch):
     monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port()}")
     monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
     port = server.server_address[1]
-    backends = [
-        HTTPBackend(server.url, timeout=10, max_retries=0),
-        HTTPBackend(f"http://localhost:{port}", timeout=10, max_retries=0),
-    ]
-    try:
-        for backend in backends:
+    # Each backend reads the proxy environment once, when it is made.
+    for url, looks in ((server.url, 1), (f"http://localhost:{port}", 2)):
+        backend = HTTPBackend(url, timeout=10, max_retries=0)
+        try:
+            assert len(consulted) == looks
             for i in range(5):
                 assert backend.complete(request(f"p{i}"))[0].text == "ok"
-            # Each backend has its own transport; one origin, one look.
-            assert len(consulted) == backends.index(backend) + 1
-    finally:
-        for backend in backends:
+        finally:
             backend.close()
+        assert len(consulted) == looks
 
 
 class RawProxy:
