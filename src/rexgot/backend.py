@@ -504,8 +504,12 @@ class HTTPBackend:
     the API key from the ``REXGOT_API_KEY`` environment variable (never
     from the command line), are fixed at construction in the
     :class:`KeepAliveTransport` made then; a ``transport`` passed in
-    replaces it and is given only the request bodies. Transient failures retry up to ``max_retries`` times with exponential
-    backoff; auth and protocol errors never retry.
+    replaces it and is given only the request bodies. Transient failures
+    retry up to ``max_retries`` times with exponential backoff, waiting
+    at least a 429's ``Retry-After`` seconds when that is a number in
+    [0, 86400]; auth and protocol errors never retry. A reply whose
+    choices are not objects with a string ``message.content`` is a
+    :class:`ProtocolError`.
     """
 
     def __init__(
@@ -564,9 +568,12 @@ class HTTPBackend:
             after = 1.0
             if retry_after := headers.get("retry-after"):
                 try:
-                    after = float(retry_after)
+                    seconds = float(retry_after)
                 except ValueError:
-                    pass
+                    seconds = -1.0
+                # Anything but a finite wait of at most a day counts as absent.
+                if 0 <= seconds <= 86400:
+                    after = seconds
             raise RateLimited(f"rate limited (HTTP {status})", after=after)
         if status >= 500:
             raise TransportError(f"server error (HTTP {status})")
@@ -577,17 +584,16 @@ class HTTPBackend:
             choices = payload["choices"]
             completions = []
             for choice in choices:
-                reason = choice.get("finish_reason", "stop")
+                # A choice that is not an object fails here with a TypeError.
+                content = choice["message"]["content"]
+                if not isinstance(content, str):
+                    raise ProtocolError(f"choice without text content: {text[:200]}")
                 try:
-                    finish = FinishReason(reason)
+                    finish = FinishReason(choice.get("finish_reason", "stop"))
                 except ValueError:
                     finish = FinishReason.ERROR
                 completions.append(
-                    Completion(
-                        text=choice["message"]["content"],
-                        finish_reason=finish,
-                        usage=payload.get("usage"),
-                    )
+                    Completion(text=content, finish_reason=finish, usage=payload.get("usage"))
                 )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"unexpected response shape: {text[:200]}") from exc

@@ -191,7 +191,7 @@ def _predict_one(
     except BackendError as exc:
         # Long batch runs survive per-instance faults: report the fault, record
         # a degenerate full-set prediction and count it in the exit summary.
-        print(f"rexgot: {exc}", file=sys.stderr)
+        print(f"rexgot: instance {instance.id}: {exc}", file=sys.stderr)
         prediction = Prediction(
             instance_id=instance.id,
             strategy=strategy,
@@ -388,7 +388,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides: dict[str, Any] = {}
     if args.config:
-        overrides.update(json.loads(Path(args.config).read_text("utf-8")))
+        loaded = json.loads(Path(args.config).read_text("utf-8"))
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
+        overrides.update(loaded)
     for key in RunConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None:

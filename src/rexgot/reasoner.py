@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .backend import Backend, BackendError, CompletionRequest
+from .backend import Backend, CompletionRequest
 from .model import MCQInstance, Prediction, RexGotError, Strategy, index_to_letter
 from .parsing import (
     EmptySet,
@@ -45,15 +45,6 @@ from .prompts import PromptKind, render_prompt
 
 class NoPaths(RexGotError):
     """vote() was called without any reasoning path."""
-
-
-class InstanceBackendError(BackendError):
-    """A backend failure, annotated with the instance being processed."""
-
-    def __init__(self, instance_id: str, cause: BackendError):
-        super().__init__(f"instance {instance_id}: {cause}")
-        self.instance_id = instance_id
-        self.cause = cause
 
 
 class VoteKind(Enum):
@@ -384,24 +375,21 @@ def run_strategy(
     for the call. Greedy step-2 and step-3 questions that several paths
     ask alike are asked once, so ``backend`` needs no wrapper to share
     them. The other strategies make every call on the calling thread. A
-    backend failure is raised as :class:`InstanceBackendError`.
+    backend error reaches the caller as the backend raised it.
     """
     config = config or ReasonerConfig()
-    try:
-        if strategy is Strategy.STANDARD:
-            return _single_shot(instance, PromptKind.STANDARD, strategy, backend, config)
-        if strategy is Strategy.COT:
-            return _single_shot(instance, PromptKind.VANILLA_COT, strategy, backend, config)
-        if strategy is Strategy.FORWARD:
-            return _pick_loop(instance, PromptKind.FORWARD_PICK, strategy, backend, config)
-        if strategy is Strategy.BACKWARD:
-            return _pick_loop(instance, PromptKind.BACKWARD_PICK, strategy, backend, config)
-        if pool is None:
-            with ThreadPoolExecutor(max_workers=config.k * instance.m) as own_pool:
-                return _rex_got(instance, backend, config, own_pool)
-        return _rex_got(instance, backend, config, pool)
-    except BackendError as exc:
-        raise InstanceBackendError(instance.id, exc) from exc
+    if strategy is Strategy.STANDARD:
+        return _single_shot(instance, PromptKind.STANDARD, strategy, backend, config)
+    if strategy is Strategy.COT:
+        return _single_shot(instance, PromptKind.VANILLA_COT, strategy, backend, config)
+    if strategy is Strategy.FORWARD:
+        return _pick_loop(instance, PromptKind.FORWARD_PICK, strategy, backend, config)
+    if strategy is Strategy.BACKWARD:
+        return _pick_loop(instance, PromptKind.BACKWARD_PICK, strategy, backend, config)
+    if pool is None:
+        with ThreadPoolExecutor(max_workers=config.k * instance.m) as own_pool:
+            return _rex_got(instance, backend, config, own_pool)
+    return _rex_got(instance, backend, config, pool)
 
 
 def _rex_got(

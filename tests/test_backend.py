@@ -203,6 +203,16 @@ def test_http_respects_retry_after():
     assert sleeps == [7.0]
 
 
+@pytest.mark.parametrize("retry_after", ["inf", "1e10", "86401"])
+def test_http_out_of_range_retry_after_falls_back_to_default(retry_after):
+    sleeps = []
+    backend, _ = make_http(
+        [(429, {"retry-after": retry_after}, ""), (200, {}, chat_body(["ok"]))], sleeps
+    )
+    assert backend.complete(request())[0].text == "ok"
+    assert sleeps == [1.0]
+
+
 def test_http_auth_error_never_retried():
     sleeps = []
     backend, calls = make_http([(401, {}, "denied")], sleeps)
@@ -214,6 +224,25 @@ def test_http_auth_error_never_retried():
 
 def test_http_protocol_error_on_bad_body():
     backend, calls = make_http([(200, {}, "not json at all")], [])
+    with pytest.raises(ProtocolError):
+        backend.complete(request())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "choices",
+    [
+        pytest.param(
+            [{"message": {"content": None}, "finish_reason": "content_filter"}],
+            id="null_content",
+        ),
+        pytest.param([{"message": {"content": 5}}], id="number_content"),
+        pytest.param(["x"], id="string_choice"),
+        pytest.param("abc", id="string_choices"),
+    ],
+)
+def test_http_protocol_error_on_malformed_choice(choices):
+    backend, calls = make_http([(200, {}, json.dumps({"choices": choices}))], [])
     with pytest.raises(ProtocolError):
         backend.complete(request())
     assert len(calls) == 1

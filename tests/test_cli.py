@@ -267,6 +267,28 @@ def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "content, kind",
+    [
+        pytest.param('"abc"', "str", id="string"),
+        pytest.param('[["corpus", "x"]]', "list", id="pairs"),
+    ],
+)
+def test_config_file_that_is_not_an_object_is_config_error(
+    tmp_path, bob_movie_setup, capsys, content, kind
+):
+    corpus_path, scripts_path = bob_movie_setup
+    config_path = tmp_path / "run.json"
+    config_path.write_text(content)
+    out_dir = tmp_path / "out"
+    code = main(run_args(corpus_path, scripts_path, out_dir, "--config", str(config_path)))
+    assert code == 2
+    assert f"config error: config file must hold a JSON object, got {kind}" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
 def test_malformed_scripts_file_is_an_error(tmp_path, bob_movie_setup, capsys):
     corpus_path, scripts_path = bob_movie_setup
     scripts_path.write_text("{not json", "utf-8")

@@ -23,7 +23,6 @@ from rexgot.model import Strategy
 from rexgot.parsing import ExclusionResult, OptionVerdict, Verdict
 from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER, PromptKind, render_prompt
 from rexgot.reasoner import (
-    InstanceBackendError,
     NoPaths,
     ReasonerConfig,
     ReasoningPath,
@@ -660,14 +659,12 @@ def test_rex_got_step2_failure_surfaces_and_leaves_no_call_running(bob_movie_ins
         scripted_rex_backend(bob_movie_instance), lambda p: 0.05, fail_prompt=failing
     )
     with ThreadPoolExecutor(max_workers=2) as pool:
-        with pytest.raises(InstanceBackendError) as info:
+        with pytest.raises(TransportError):
             run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config, pool)
         assert backend.in_flight == 0
         calls_at_return = backend.calls
         time.sleep(0.1)
         assert backend.calls == calls_at_return  # queued calls were cancelled
-    assert info.value.instance_id == bob_movie_instance.id
-    assert isinstance(info.value.cause, TransportError)
     assert calls_at_return < 1 + config.k * bob_movie_instance.m
 
 
@@ -684,10 +681,9 @@ def test_rex_got_shared_call_failure_surfaces_once_and_leaves_no_call_running(
     )
     wrapper = CountingWrapper(backend)
     with ThreadPoolExecutor(max_workers=config.k * m) as pool:
-        with pytest.raises(InstanceBackendError) as info:
+        with pytest.raises(TransportError):
             run_strategy(bob_movie_instance, Strategy.REX_GOT, wrapper, config, pool)
         assert backend.in_flight == 0
-    assert isinstance(info.value.cause, TransportError)
     # All K paths ask the failing question; it reached the backend once.
     assert [r.prompt for r in wrapper.requests].count(failing) == 1
     assert backend.calls == 1 + m

@@ -17,6 +17,7 @@ import pytest
 
 import rexgot
 from rexgot.backend import CompletionRequest, HTTPBackend, RateLimited, TransportError
+from rexgot.cli import main
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
@@ -255,6 +256,46 @@ def test_http_run_does_not_import_requests(server, tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"code": 0, "loaded": []}
     assert server.paths == ["/v1/chat/completions"]
+
+
+def test_reply_without_text_content_fails_only_its_instance(server, tmp_path, capsys):
+    filtered = json.dumps(
+        {"choices": [{"message": {"content": None}, "finish_reason": "content_filter"}]}
+    ).encode("utf-8")
+    server.replies = [
+        (200, {}, chat_body("Answer: A")), (200, {}, filtered), (200, {}, chat_body("Answer: B"))
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps(
+                {"id": f"q{i}", "dialogue": [{"speaker": "A", "text": "hello"}],
+                 "target_index": 0, "question": "Why?", "options": ["one", "two"],
+                 "answers": [0]}
+            )
+            + "\n"
+            for i in (1, 2, 3)
+        ),
+        "utf-8",
+    )
+    out = tmp_path / "out"
+    code = main([
+        "run", "--corpus", str(corpus), "--strategy", "standard",
+        "--backend", "http", "--endpoint", server.url, "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "rexgot: instance q2: choice without text content" in err
+    assert "1 instance run(s) failed" in err
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    predictions = [json.loads(line) for line in lines]
+    assert [(p["instance_id"], p["chosen"], p["fallback_used"]) for p in predictions] == [
+        ("q1", [0], False), ("q2", [0, 1], True), ("q3", [1], False)
+    ]
+    names = ["report.json", "report.txt", "by_gold_count.csv", "traces/q1.json",
+             "traces/q2.json", "traces/q3.json"]
+    assert all((out / name).is_file() for name in names)
+    assert len(server.paths) == 3
 
 
 class RawHandler(Handler):
