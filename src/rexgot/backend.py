@@ -21,8 +21,7 @@ import sys
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
@@ -91,17 +90,13 @@ class CompletionRequest:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
-class FinishReason(Enum):
-    STOP = "stop"
-    LENGTH = "length"
-    ERROR = "error"
-
-
 @dataclass(frozen=True)
 class Completion:
+    """One sample; ``finish_reason`` and ``usage`` are kept as the server sent them."""
+
     text: str
-    finish_reason: FinishReason = FinishReason.STOP
-    usage: Mapping[str, int] | None = None
+    finish_reason: str | None = "stop"
+    usage: dict[str, Any] | None = None
 
 
 class Backend(Protocol):
@@ -145,7 +140,7 @@ class ScriptedBackend:
     def __init__(self, default_responses: Sequence[str] | None = None):
         self._by_digest: dict[str, tuple[str, ...]] = {}
         self._sources: dict[str, str] = {}
-        self._default = tuple(default_responses) if default_responses else None
+        self._default = None if default_responses is None else _responses(default_responses)
 
     def register_script(
         self,
@@ -155,12 +150,13 @@ class ScriptedBackend:
     ) -> None:
         if (prompt is None) == (digest is None):
             raise ValueError("register exactly one of prompt= or digest=")
-        if not responses:
-            raise ValueError("responses must be non-empty")
+        if not isinstance(prompt if digest is None else digest, str):
+            raise ValueError("prompt= or digest= must be a string")
+        texts = _responses(responses)
         key = digest if digest is not None else prompt_digest(prompt)  # type: ignore[arg-type]
         if key in self._by_digest:
             raise DuplicateScript(f"script already registered for digest {key[:12]}…")
-        self._by_digest[key] = tuple(responses)
+        self._by_digest[key] = texts
         self._sources[key] = prompt if prompt is not None else key
 
     def complete(self, request: CompletionRequest) -> list[Completion]:
@@ -188,6 +184,13 @@ class ScriptedBackend:
             if score > best_score:
                 best_key, best_score = key, score
         return best_key
+
+
+def _responses(responses: Sequence[str]) -> tuple[str, ...]:
+    texts = tuple(responses) if isinstance(responses, (list, tuple)) else ()
+    if not texts or not all(isinstance(text, str) for text in texts):
+        raise ValueError(f"responses must be a non-empty list of strings, got {responses!r:.80}")
+    return texts
 
 
 # POSTs one JSON body to a fixed endpoint: (status, headers by lower-case name, body text).
@@ -507,9 +510,11 @@ class HTTPBackend:
     replaces it and is given only the request bodies. Transient failures
     retry up to ``max_retries`` times with exponential backoff, waiting
     at least a 429's ``Retry-After`` seconds when that is a number in
-    [0, 86400]; auth and protocol errors never retry. A reply whose
-    choices are not objects with a string ``message.content`` is a
-    :class:`ProtocolError`.
+    [0, 86400]; auth and protocol errors never retry. Each choice's
+    ``finish_reason`` and the reply's ``usage`` are kept as sent. A reply
+    is a :class:`ProtocolError` unless its choices are objects with a
+    string ``message.content`` and a string or null ``finish_reason``,
+    its ``usage`` is an object or null, and there are ``n_samples`` choices.
     """
 
     def __init__(
@@ -565,15 +570,12 @@ class HTTPBackend:
         if status in (401, 403):
             raise AuthError(f"credential rejected (HTTP {status})")
         if status == 429:
-            after = 1.0
-            if retry_after := headers.get("retry-after"):
-                try:
-                    seconds = float(retry_after)
-                except ValueError:
-                    seconds = -1.0
-                # Anything but a finite wait of at most a day counts as absent.
-                if 0 <= seconds <= 86400:
-                    after = seconds
+            try:
+                seconds = float(headers.get("retry-after", ""))
+            except ValueError:
+                seconds = -1.0
+            # Anything but a finite wait of at most a day counts as absent.
+            after = seconds if 0 <= seconds <= 86400 else 1.0
             raise RateLimited(f"rate limited (HTTP {status})", after=after)
         if status >= 500:
             raise TransportError(f"server error (HTTP {status})")
@@ -581,27 +583,35 @@ class HTTPBackend:
             raise ProtocolError(f"HTTP {status}: {text[:200]}")
         try:
             payload = json.loads(text)
-            choices = payload["choices"]
-            completions = []
-            for choice in choices:
-                # A choice that is not an object fails here with a TypeError.
-                content = choice["message"]["content"]
-                if not isinstance(content, str):
-                    raise ProtocolError(f"choice without text content: {text[:200]}")
-                try:
-                    finish = FinishReason(choice.get("finish_reason", "stop"))
-                except ValueError:
-                    finish = FinishReason.ERROR
-                completions.append(
-                    Completion(text=content, finish_reason=finish, usage=payload.get("usage"))
-                )
+            # A choice or message that is not an object fails here with a TypeError.
+            samples = [
+                (choice["message"]["content"], choice.get("finish_reason", "stop"),
+                 payload.get("usage"))
+                for choice in payload["choices"]
+            ]
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"unexpected response shape: {text[:200]}") from exc
-        if len(completions) != n_samples:
-            raise ProtocolError(
-                f"asked for {n_samples} samples, got {len(completions)}"
-            )
-        return completions
+        return _decode(samples, n_samples, text)
+
+
+def _decode(samples: list[tuple[Any, Any, Any]], n_samples: int, source: str) -> list[Completion]:
+    """Completions from a reply's or a cache entry's (text, finish_reason, usage) triples.
+
+    Anything malformed is a :class:`ProtocolError` quoting the start of ``source``.
+    """
+    for text, finish_reason, usage in samples:
+        if not isinstance(text, str):
+            problem = "choice without text content"
+        elif not isinstance(finish_reason, (str, type(None))):
+            problem = f"finish_reason {finish_reason!r:.40} is not a string or null"
+        elif not isinstance(usage, (dict, type(None))):
+            problem = f"usage {usage!r:.40} is not an object or null"
+        else:
+            continue
+        raise ProtocolError(f"{problem}: {source[:200]}")
+    if len(samples) != n_samples:
+        raise ProtocolError(f"asked for {n_samples} samples, got {len(samples)}: {source[:200]}")
+    return [Completion(*sample) for sample in samples]
 
 
 CACHE_OFF = "off"
@@ -624,8 +634,10 @@ class CachingBackend:
     segment is read, a buffer at a time and in sorted name order, into an
     in-memory index of digest to (file, offset, length); the first entry
     for a digest wins, so lookups are deterministic, and a lookup is a
-    dict get plus one ``os.pread``. A line that is cut off or malformed
-    is skipped, and the count is reported on stderr. ``record`` reads
+    dict get plus one ``os.pread``. A line that is cut off or has a
+    malformed head is skipped, and the count is reported on stderr; a
+    line whose body is malformed is a :class:`ProtocolError` for the
+    request that reads it. ``record`` reads
     through and stores misses; ``replay`` serves hits only and never
     touches the inner backend, so replayed runs are fully offline.
     Concurrent writers, in this process or others sharing the directory,
@@ -691,7 +703,14 @@ class CachingBackend:
         digest = cache_key(request)
         entry = self._index.get(digest)
         if entry is not None:
-            return _read_entry(*entry)
+            fd, offset, length = entry
+            line = os.pread(fd, length, offset).decode("utf-8", "replace")
+            try:
+                completions = json.loads(line)["completions"]
+                samples = [(c["text"], c["finish_reason"], c["usage"]) for c in completions]
+            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                raise ProtocolError(f"malformed cache entry: {line[:200]}") from exc
+            return _decode(samples, request.n_samples, f"cache entry {line}")
         if self.mode == CACHE_REPLAY:
             raise ReplayMiss(f"no cached completion for digest {digest}")
         assert self.inner is not None
@@ -711,21 +730,9 @@ class CachingBackend:
     def _store(
         self, digest: str, request: CompletionRequest, completions: Sequence[Completion]
     ) -> None:
-        body = json.dumps(
-            {
-                "completions": [
-                    {
-                        "text": c.text,
-                        "finish_reason": c.finish_reason.value,
-                        "usage": dict(c.usage) if c.usage is not None else None,
-                    }
-                    for c in completions
-                ],
-                "request": _request_fields(request),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        samples = [asdict(c) for c in completions]
+        fields = {"completions": samples, "request": _request_fields(request)}
+        body = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         line = f'{{"digest":"{digest}",{body[1:]}\n'.encode("ascii")
         with self._lock:
             if digest in self._index:  # stored meanwhile by a concurrent miss
@@ -783,18 +790,6 @@ def _segment_entries(fd: int) -> Iterator[tuple[str | None, int, int]]:
         data = data[start:]
     if data:  # a last line without its newline
         yield None, offset, len(data)
-
-
-def _read_entry(fd: int, offset: int, length: int) -> list[Completion]:
-    payload = json.loads(os.pread(fd, length, offset))
-    return [
-        Completion(
-            text=c["text"],
-            finish_reason=FinishReason(c["finish_reason"]),
-            usage=c.get("usage"),
-        )
-        for c in payload["completions"]
-    ]
 
 
 def _close(resource: Any) -> None:

@@ -168,14 +168,17 @@ def build_backend(config: RunConfig) -> Backend:
 
 
 def _load_scripted(path: str) -> ScriptedBackend:
+    """The backend a ``--scripts`` file describes; a malformed file is a :class:`RexGotError`."""
     payload = json.loads(Path(path).read_text("utf-8"))
-    backend = ScriptedBackend(default_responses=payload.get("default"))
-    for entry in payload.get("scripts", []):
-        backend.register_script(
-            responses=entry["responses"],
-            prompt=entry.get("prompt"),
-            digest=entry.get("digest"),
-        )
+    scripts = payload.get("scripts", []) if isinstance(payload, dict) else None
+    if not isinstance(scripts, list) or not all(isinstance(entry, dict) for entry in scripts):
+        raise RexGotError(f"scripts file {path} must hold an object with a list of script objects")
+    try:
+        backend = ScriptedBackend(default_responses=payload.get("default"))
+        for entry in scripts:
+            backend.register_script(*map(entry.get, ("responses", "prompt", "digest")))
+    except ValueError as exc:
+        raise RexGotError(f"scripts file {path}: {exc}") from exc
     return backend
 
 
@@ -388,7 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides: dict[str, Any] = {}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text("utf-8"))
+        try:
+            loaded = json.loads(Path(args.config).read_text("utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         overrides.update(loaded)

@@ -152,22 +152,17 @@ class MCQInstance:
 def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     """Construct a validated :class:`MCQInstance` from a raw record.
 
-    Idempotent: passing an already-valid instance returns an equal instance.
+    An instance, valid since its construction, is returned as it is.
     Raises a :class:`ValidationError` subtype naming the offending field.
     """
     if isinstance(raw, MCQInstance):
-        return MCQInstance(
-            id=raw.id,
-            dialogue=raw.dialogue,
-            target_index=raw.target_index,
-            question=raw.question,
-            options=raw.options,
-            gold=raw.gold,
-            inference_type=raw.inference_type,
-        )
+        return raw
     for key in ("id", "dialogue", "target_index", "question", "options", "answers"):
         if key not in raw:
             raise ValidationError(f"record is missing field {key!r}", field_name=key)
+    for key, indices in (("target_index", [raw["target_index"]]), ("answers", raw["answers"])):
+        if not all(type(index) is int for index in indices):
+            raise ValidationError(f"{key} must hold integers, got {raw[key]!r}", field_name=key)
     dialogue = []
     for turn in raw["dialogue"]:
         if isinstance(turn, Utterance):
@@ -177,10 +172,10 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     return MCQInstance(
         id=str(raw["id"]),
         dialogue=tuple(dialogue),
-        target_index=int(raw["target_index"]),
+        target_index=raw["target_index"],
         question=str(raw["question"]),
         options=tuple(str(o) for o in raw["options"]),
-        gold=frozenset(int(a) for a in raw["answers"]),
+        gold=frozenset(raw["answers"]),
         inference_type=raw.get("inference_type"),
     )
 

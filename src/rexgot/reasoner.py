@@ -89,6 +89,8 @@ class ReasonerConfig:
             raise ValueError(f"temperatures must be >= 0, got {list(temperatures)}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.max_prompt_tokens is not None and self.max_prompt_tokens < 1:
+            raise ValueError(f"max_prompt_tokens must be >= 1, got {self.max_prompt_tokens}")
 
 
 @dataclass(frozen=True)

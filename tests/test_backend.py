@@ -114,6 +114,14 @@ def test_register_script_requires_responses():
         backend.register_script(responses=["x"])  # neither prompt nor digest
 
 
+@pytest.mark.parametrize("responses", [[5], "abc", [], ["ok", None]])
+def test_scripted_responses_must_be_a_non_empty_list_of_strings(responses):
+    with pytest.raises(ValueError):
+        ScriptedBackend().register_script(responses=responses, prompt="p")
+    with pytest.raises(ValueError):
+        ScriptedBackend(default_responses=responses)
+
+
 def test_register_by_digest():
     from rexgot.backend import prompt_digest
 
@@ -248,6 +256,26 @@ def test_http_protocol_error_on_malformed_choice(choices):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(
+            {"choices": [{"message": {"content": "ok"}, "finish_reason": 5}]},
+            id="number_finish_reason",
+        ),
+        pytest.param(
+            {"choices": [{"message": {"content": "ok"}}], "usage": "lots"}, id="string_usage"
+        ),
+        pytest.param({"choices": [{"message": {"content": "ok"}}], "usage": [1]}, id="list_usage"),
+    ],
+)
+def test_http_protocol_error_on_malformed_finish_reason_or_usage(payload):
+    backend, calls = make_http([(200, {}, json.dumps(payload))], [])
+    with pytest.raises(ProtocolError):
+        backend.complete(request())
+    assert len(calls) == 1
+
+
 def test_http_protocol_error_on_partial_choices():
     backend, _ = make_http([(200, {}, chat_body(["only one"]))], [])
     with pytest.raises(ProtocolError):
@@ -341,6 +369,29 @@ def test_cache_files_are_diffable_json(tmp_path):
         rest = {key: payload[key] for key in ("completions", "request")}
         body = json.dumps(rest, sort_keys=True, separators=(",", ":"))
         assert line == f'{{"digest":"{cache_key(req)}",{body[1:]}\n'.encode("ascii")
+
+
+@pytest.mark.parametrize("finish_reason", ["stop", "length", "content_filter", "error", None])
+def test_finish_reason_survives_record_and_replay(tmp_path, finish_reason):
+    usage = {"prompt_tokens": 5, "completion_tokens": 7}
+    reply = {"choices": [{"message": {"content": "ok"}, "finish_reason": finish_reason}],
+             "usage": usage}
+    inner, _ = make_http([(200, {}, json.dumps(reply))], [])
+    cache_dir = tmp_path / "cache"
+    recorded = CachingBackend(inner, cache_dir, mode="record").complete(request())
+    assert recorded == [Completion(text="ok", finish_reason=finish_reason, usage=usage)]
+    [line] = segment_lines(cache_dir)
+    assert f'"finish_reason":{json.dumps(finish_reason)},'.encode() in line
+    assert CachingBackend(None, cache_dir, mode="replay").complete(request()) == recorded
+
+
+def test_unknown_finish_reason_in_a_cache_line_is_kept(tmp_path):
+    cache_dir = tmp_path / "cache"
+    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    [segment] = segments(cache_dir)
+    segment.write_bytes(segment.read_bytes().replace(b'"stop"', b'"weird"'))
+    [completion] = CachingBackend(None, cache_dir, mode="replay").complete(request())
+    assert completion.finish_reason == "weird"
 
 
 def test_concurrent_complete_calls(tmp_path):

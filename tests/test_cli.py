@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -254,6 +255,10 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
             {"max_prompt_tokens": 1.5}, [], "max_prompt_tokens must be int | None, got 1.5",
             id="float_for_optional_int",
         ),
+        pytest.param(
+            {}, ["--max-prompt-tokens", "-5"], "max_prompt_tokens must be >= 1, got -5",
+            id="max_prompt_tokens_below_1",
+        ),
     ],
 )
 def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings, flags, message):
@@ -294,6 +299,97 @@ def test_malformed_scripts_file_is_an_error(tmp_path, bob_movie_setup, capsys):
     scripts_path.write_text("{not json", "utf-8")
     assert main(run_args(corpus_path, scripts_path, tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content", [pytest.param(b"{not json", id="bad_json"), pytest.param(b"\xff{", id="not_utf8")]
+)
+def test_config_file_that_is_not_json_is_config_error(tmp_path, bob_movie_setup, capsys, content):
+    corpus_path, scripts_path = bob_movie_setup
+    config_path = tmp_path / "run.json"
+    config_path.write_bytes(content)
+    out_dir = tmp_path / "out"
+    code = main(run_args(corpus_path, scripts_path, out_dir, "--config", str(config_path)))
+    assert code == 2
+    assert f"config error: config file {config_path} is not UTF-8 JSON" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"default": [5]}, id="default_not_strings"),
+        pytest.param({"scripts": [{"prompt": "x", "responses": []}]}, id="empty_responses"),
+        pytest.param({"scripts": [{"prompt": "x"}]}, id="no_responses"),
+        pytest.param(["a"], id="not_an_object"),
+    ],
+)
+def test_malformed_scripts_shape_is_an_error(tmp_path, bob_movie_setup, capsys, payload):
+    corpus_path, scripts_path = bob_movie_setup
+    scripts_path.write_text(json.dumps(payload), "utf-8")
+    assert main(run_args(corpus_path, scripts_path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: scripts file {scripts_path}")
+
+
+def _record_three_instances(tmp_path):
+    """Record q1..q3 under the standard strategy: one cache line per instance."""
+    instances = tuple(make_instance(f"q{i}", option_prefix=f"q{i}") for i in (1, 2, 3))
+    corpus_path = tmp_path / "three.jsonl"
+    save_corpus(Corpus(name="three", instances=instances), corpus_path)
+    scripts_path = write_scripts_file(tmp_path / "scripts.json", [], default=["Answer: A"])
+    cache_dir = tmp_path / "cache"
+    code = main([
+        "run", "--corpus", str(corpus_path), "--strategy", "standard",
+        "--backend", "scripted", "--scripts", str(scripts_path),
+        "--cache-mode", "record", "--cache-dir", str(cache_dir), "--out", str(tmp_path / "rec"),
+    ])
+    assert code == 0
+    return corpus_path, cache_dir
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        pytest.param(
+            lambda line: line.replace(b'"completions":[', b'"completions":[['),
+            "malformed cache entry", id="bad_json_body",
+        ),
+        pytest.param(
+            lambda line: line.replace(b'"finish_reason":"stop"', b'"finish_reason":5'),
+            "finish_reason 5 is not a string or null", id="finish_reason_not_a_string",
+        ),
+        pytest.param(
+            lambda line: re.sub(rb'"completions":\[.*?\],"request"', b'"completions":[],"request"',
+                                line),
+            "asked for 1 samples, got 0", id="no_completions",
+        ),
+    ],
+)
+def test_malformed_cache_body_fails_only_its_instance(tmp_path, capsys, edit, cause):
+    corpus_path, cache_dir = _record_three_instances(tmp_path)
+    [segment] = (cache_dir / "v2").iterdir()
+    lines = segment.read_bytes().splitlines(True)
+    [index] = [i for i, line in enumerate(lines) if b"q2 text 0" in line]
+    lines[index] = edit(lines[index])
+    assert lines[index].startswith(b'{"digest":"') and lines[index].endswith(b"}\n")
+    segment.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([
+        "run", "--corpus", str(corpus_path), "--strategy", "standard",
+        "--cache-mode", "replay", "--cache-dir", str(cache_dir), "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    [failure] = [line for line in err if line.startswith("rexgot: instance")]
+    assert failure.startswith(f"rexgot: instance q2: {cause}")
+    predictions = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    assert [p["fallback_used"] for p in predictions] == [False, True, False]
+    names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
+             "traces/q1.json", "traces/q2.json", "traces/q3.json"]
+    assert all((out / name).is_file() for name in names)
 
 
 def test_compare_command_five_reports(tmp_path, capsys):

@@ -56,6 +56,25 @@ def test_gold_index_equal_to_m_fails_with_line_number(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("target_index", 1.9, id="float_target"),
+        pytest.param("target_index", "1", id="string_target"),
+        pytest.param("target_index", True, id="bool_target"),
+        pytest.param("answers", [1.5, True], id="float_and_bool_answers"),
+        pytest.param("answers", [1.0], id="whole_float_answer"),
+        pytest.param("answers", ["0"], id="string_answer"),
+    ],
+)
+def test_non_integer_index_fails_with_line_number(tmp_path, field, value):
+    records = [canonical_record("c1"), {**canonical_record("c2"), field: value}]
+    path = write_lines(tmp_path / "c.jsonl", records)
+    with pytest.raises(ValidationFailed, match=f"line 2: {field} must hold integers") as err:
+        load_corpus(path)
+    assert err.value.line_no == 2
+
+
 def test_malformed_json_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(canonical_record()) + "\n{not json\n", "utf-8")

@@ -298,6 +298,46 @@ def test_reply_without_text_content_fails_only_its_instance(server, tmp_path, ca
     assert len(server.paths) == 3
 
 
+def test_reply_with_malformed_usage_fails_only_its_instance_under_record(
+    server, tmp_path, capsys
+):
+    lots = json.dumps(
+        {"choices": [{"message": {"content": "Answer: A"}, "finish_reason": "stop"}],
+         "usage": "lots"}
+    ).encode("utf-8")
+    server.replies = [
+        (200, {}, chat_body("Answer: A")), (200, {}, lots), (200, {}, chat_body("Answer: B"))
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps(
+                {"id": f"q{i}", "dialogue": [{"speaker": "A", "text": f"hello {i}"}],
+                 "target_index": 0, "question": "Why?", "options": ["one", "two"],
+                 "answers": [0]}
+            )
+            + "\n"
+            for i in (1, 2, 3)
+        ),
+        "utf-8",
+    )
+    out, cache_dir = tmp_path / "out", tmp_path / "cache"
+    code = main([
+        "run", "--corpus", str(corpus), "--strategy", "standard",
+        "--backend", "http", "--endpoint", server.url, "--out", str(out),
+        "--cache-mode", "record", "--cache-dir", str(cache_dir),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    [failure] = [line for line in err if line.startswith("rexgot: instance")]
+    assert failure.startswith("rexgot: instance q2: usage 'lots' is not an object or null")
+    names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
+             "traces/q1.json", "traces/q2.json", "traces/q3.json"]
+    assert all((out / name).is_file() for name in names)
+    [segment] = (cache_dir / "v2").iterdir()
+    assert segment.read_bytes().count(b"\n") == 2  # the malformed reply is not stored
+
+
 class RawHandler(Handler):
     """Sends the server's queued raw responses byte for byte; a ``None`` is a normal reply."""
 
