@@ -13,7 +13,8 @@ import hashlib
 import json
 import sys
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -169,7 +170,10 @@ def build_backend(config: RunConfig) -> Backend:
 
 def _load_scripted(path: str) -> ScriptedBackend:
     """The backend a ``--scripts`` file describes; a malformed file is a :class:`RexGotError`."""
-    payload = json.loads(Path(path).read_text("utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise RexGotError(f"scripts file {path} is not UTF-8 JSON: {exc}") from exc
     scripts = payload.get("scripts", []) if isinstance(payload, dict) else None
     if not isinstance(scripts, list) or not all(isinstance(entry, dict) for entry in scripts):
         raise RexGotError(f"scripts file {path} must hold an object with a list of script objects")
@@ -239,10 +243,10 @@ def cmd_run(config: RunConfig) -> int:
     reasoner_config = config.validate()
     strategy = Strategy(config.strategy)
     corpus = load_corpus(config.corpus, format=config.format)
+    instances = sorted(corpus.instances, key=lambda instance: instance.id)
     fingerprint = config.fingerprint()
 
     reports = []
-    first_predictions: list[Prediction] = []
     failures = 0
     # Instances run on one pool, their fanned-out rex_got calls on another:
     # at most K·m calls per instance, so in-flight calls stay <= workers·K·m.
@@ -250,49 +254,45 @@ def cmd_run(config: RunConfig) -> int:
     # instances would only add contention.
     call_width = config.workers
     if config.cache_mode != CACHE_REPLAY:
-        max_m = max((instance.m for instance in corpus.instances), default=1)
+        max_m = max((instance.m for instance in instances), default=1)
         call_width *= config.k * max_m
     backend = build_backend(config)
+    out_dir = Path(config.out)
     instance_pool = ThreadPoolExecutor(max_workers=config.workers)
     call_pool = ThreadPoolExecutor(max_workers=call_width)
+    predict = partial(
+        _predict_one, strategy=strategy, config=reasoner_config, backend=backend,
+        call_pool=call_pool,
+    )
     try:
-        for repeat_index in range(config.repeat):
-            futures = {
-                instance.id: instance_pool.submit(
-                    _predict_one, instance, strategy, reasoner_config, backend, call_pool
-                )
-                for instance in corpus.instances
-            }
-            ordered = [futures[iid].result() for iid in sorted(futures)]
-            predictions = [prediction for prediction, _ in ordered]
-            reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
-            if repeat_index == 0:
-                first_predictions = predictions
-            failures += sum(1 for _, failed in ordered if failed)
+        (out_dir / "traces").mkdir(parents=True, exist_ok=True)
+        # Line-buffered: each instance's line is on disk once its result is in.
+        with (out_dir / "predictions.jsonl").open("w", encoding="utf-8", buffering=1) as lines:
+            for repeat_index in range(config.repeat):
+                predictions = []
+                for instance, (prediction, failed) in zip(
+                    instances, instance_pool.map(predict, instances)
+                ):
+                    failures += failed
+                    if repeat_index == 0:
+                        paths = prediction.paths
+                        record = prediction_record(prediction) | {"n_paths": len(paths)}
+                        lines.write(json.dumps(record, sort_keys=True) + "\n")
+                        # Only rex_got predictions carry paths; a failed instance has none.
+                        graph = build_graph(instance, paths) if paths else None
+                        trace = build_trace(instance, prediction, graph)
+                        (out_dir / "traces" / f"{instance.id}.json").write_text(
+                            json.dumps(trace, sort_keys=True, indent=2) + "\n", "utf-8"
+                        )
+                    # Scoring needs only the chosen sets; the raw texts can go.
+                    predictions.append(replace(prediction, paths=()))
+                reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
     finally:
         # Instances first: a running instance may still wait on its calls.
         instance_pool.shutdown(cancel_futures=True)
         call_pool.shutdown(cancel_futures=True)
         _close(backend)
     report = _average_reports(reports)
-
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "predictions.jsonl").open("w", encoding="utf-8") as fh:
-        for prediction in first_predictions:
-            record = {**prediction_record(prediction), "n_paths": len(prediction.paths)}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    instances = {instance.id: instance for instance in corpus.instances}
-    for prediction in first_predictions:
-        instance = instances[prediction.instance_id]
-        # Only rex_got predictions carry paths; a failed instance has none.
-        graph = build_graph(instance, prediction.paths) if prediction.paths else None
-        (traces_dir / f"{instance.id}.json").write_text(
-            json.dumps(build_trace(instance, prediction, graph), sort_keys=True, indent=2) + "\n",
-            "utf-8",
-        )
     write_report_files(report, out_dir)
 
     print(

@@ -34,18 +34,18 @@ class UnknownFormat(RexGotError):
 
 
 class MalformedLine(RexGotError):
-    """A corpus line is not a JSON object."""
+    """A corpus line is not a UTF-8 JSON object."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | Path, line_no: int, message: str):
+        super().__init__(f"{path}, line {line_no}: {message}")
         self.line_no = line_no
 
 
 class ValidationFailed(RexGotError):
     """A corpus line decoded but did not yield a valid instance."""
 
-    def __init__(self, line_no: int, cause: Exception | str):
-        super().__init__(f"line {line_no}: {cause}")
+    def __init__(self, path: str | Path, line_no: int, cause: Exception | str):
+        super().__init__(f"{path}, line {line_no}: {cause}")
         self.line_no = line_no
         self.cause = cause
 
@@ -79,35 +79,44 @@ class Corpus:
 def load_corpus(path: str | Path, format: str = CANONICAL, name: str | None = None) -> Corpus:
     """Load a corpus file; every line yields exactly one validated instance.
 
-    Raises :class:`MalformedLine` / :class:`ValidationFailed` with the
-    1-based offending line number, or :class:`UnknownFormat`.
+    Raises :class:`MalformedLine` / :class:`ValidationFailed` naming the
+    file and the 1-based offending line number, or :class:`UnknownFormat`.
     """
     if format not in FORMATS:
         raise UnknownFormat(f"unknown corpus format {format!r}; expected one of {FORMATS}")
     path = Path(path)
     instances = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    # Lines are decoded one at a time, so a byte that is not UTF-8 names its line.
+    with path.open("rb") as fh:
+        for line_no, raw_line in enumerate(fh, start=1):
+            try:
+                line = raw_line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(
+                    path, line_no, f"not UTF-8 ({exc.reason} at byte {exc.start})"
+                ) from exc
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from exc
+                raise MalformedLine(path, line_no, f"invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+                raise MalformedLine(path, line_no, f"invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
-                raise MalformedLine(line_no, "expected a JSON object")
+                raise MalformedLine(path, line_no, "expected a JSON object")
             if format == CICERO_RELEASE:
                 try:
                     record = _adapt_release_record(record)
                 except (RexGotError, KeyError, TypeError, ValueError) as exc:
-                    raise ValidationFailed(line_no, exc) from exc
+                    raise ValidationFailed(path, line_no, exc) from exc
             try:
                 instance = validate_instance(record)
             except (RexGotError, KeyError, TypeError, ValueError) as exc:
-                raise ValidationFailed(line_no, exc) from exc
+                raise ValidationFailed(path, line_no, exc) from exc
             if instance.id in seen_ids:
-                raise ValidationFailed(line_no, f"duplicate instance id {instance.id!r}")
+                raise ValidationFailed(path, line_no, f"duplicate instance id {instance.id!r}")
             seen_ids.add(instance.id)
             instances.append(instance)
     return Corpus(name=name or path.stem, instances=tuple(instances), source_path=str(path))

@@ -163,12 +163,21 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     for key, indices in (("target_index", [raw["target_index"]]), ("answers", raw["answers"])):
         if not all(type(index) is int for index in indices):
             raise ValidationError(f"{key} must hold integers, got {raw[key]!r}", field_name=key)
+    inference_type = raw.get("inference_type")
+    if inference_type is not None and not isinstance(inference_type, str):
+        raise ValidationError(
+            f"inference_type must be a string, got {inference_type!r}", field_name="inference_type"
+        )
     dialogue = []
     for turn in raw["dialogue"]:
         if isinstance(turn, Utterance):
             dialogue.append(turn)
-        else:
+        elif isinstance(turn, dict):
             dialogue.append(Utterance(speaker=str(turn.get("speaker", "")), text=str(turn["text"])))
+        else:
+            raise ValidationError(
+                f"dialogue turns must be objects, got {turn!r}", field_name="dialogue"
+            )
     return MCQInstance(
         id=str(raw["id"]),
         dialogue=tuple(dialogue),
@@ -176,7 +185,7 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
         question=str(raw["question"]),
         options=tuple(str(o) for o in raw["options"]),
         gold=frozenset(raw["answers"]),
-        inference_type=raw.get("inference_type"),
+        inference_type=inference_type,
     )
 
 

@@ -12,9 +12,10 @@ inform and never prune, every step-2 verdict call depends only on its
 path's step-1 sample, and each path's step-3 call only on that path's
 verdicts. They run on a thread pool, so an instance costs three round
 trips instead of 1 + K·(m+1). Paths whose step-1 samples agree ask
-byte-identical greedy questions, and each such question is asked once
-per instance, so the number of calls is a function of the step-1 texts
-alone. Distinct instances may be processed concurrently by callers.
+byte-identical greedy questions, and each such question is rendered
+and asked once per instance, so the number of calls is a function of the
+step-1 texts alone. Distinct instances may be processed concurrently by
+callers.
 Results do not depend on the order in which calls finish: with a replay
 cache and fixed config every strategy is a pure function of its inputs.
 """
@@ -400,33 +401,38 @@ def _rex_got(
     exclusions = run_step1(instance, backend, config)
     verdicts: list[dict[int, OptionVerdict]] = [{} for _ in exclusions]
     combined: dict[int, tuple[frozenset[int], bool]] = {}
-    # Greedy calls by prompt: paths that ask the same question share its call.
-    # Only this thread touches it, so it needs no lock.
-    shared: dict[str, Future] = {}
+    # Greedy calls by what their prompt is rendered from: paths that ask the
+    # same question share its call and render it once. Only this thread
+    # touches it, so it needs no lock.
+    shared: dict[tuple, Future] = {}
     # Each pending call maps to the (path id, option index) pairs it answers,
     # with option index None for step 3.
     pending: dict[Future, list[tuple[int, int | None]]] = {}
 
     def ask(
-        prompt: str, parse: Callable[[str], object], temperature: float,
-        answers: tuple[int, int | None],
+        kind: PromptKind, key: tuple, parse: Callable[[str], object], temperature: float,
+        answers: tuple[int, int | None], **stage_inputs,
     ) -> None:
-        future = shared.get(prompt)
+        future = shared.get(key)
         if future is None:
+            # Rendered on this thread, not on the pool: many pool threads
+            # rendering at once raised peak memory.
+            prompt = render_prompt(
+                instance, kind, max_prompt_tokens=config.max_prompt_tokens, **stage_inputs
+            )
             future = pool.submit(_ask, prompt, parse, temperature, backend, config)
             if temperature == 0:
-                shared[prompt] = future
+                shared[key] = future
         # A finished call goes back into ``pending`` and is delivered on the next wait.
         pending.setdefault(future, []).append(answers)
 
     try:
         for path_id, a1 in enumerate(exclusions):
             for i in range(instance.m):
-                prompt = render_prompt(
-                    instance, PromptKind.STEP2_VERDICT, a1=a1.raw_text, option_index=i,
-                    max_prompt_tokens=config.max_prompt_tokens,
+                ask(
+                    PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
+                    config.temperature_step2, (path_id, i), a1=a1.raw_text, option_index=i,
                 )
-                ask(prompt, parse_verdict, config.temperature_step2, (path_id, i))
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
@@ -440,17 +446,13 @@ def _rex_got(
                     verdict = parsed if parsed is not None else Verdict.ABSTAIN
                     verdicts[path_id][i] = OptionVerdict(verdict=verdict, raw_text=text)
                     if len(verdicts[path_id]) == instance.m:
-                        # Rendered on this thread, not on the pool: many pool threads
-                        # rendering at once raised peak memory. Verdicts go in option order.
+                        # Verdicts go in option order.
                         a2 = verdicts[path_id] = dict(sorted(verdicts[path_id].items()))
-                        prompt = render_prompt(
-                            instance, PromptKind.STEP3_COMBINE, a1=a1.raw_text,
-                            a2={j: v.raw_text for j, v in a2.items()},
-                            max_prompt_tokens=config.max_prompt_tokens,
-                        )
+                        texts = {j: v.raw_text for j, v in a2.items()}
                         ask(
-                            prompt, lambda t: parse_final_set(t, instance.m),
-                            config.temperature_step3, (path_id, None),
+                            PromptKind.STEP3_COMBINE, (a1.raw_text, tuple(texts.values())),
+                            lambda t: parse_final_set(t, instance.m), config.temperature_step3,
+                            (path_id, None), a1=a1.raw_text, a2=texts,
                         )
     finally:
         # On failure, no call of this instance may outlive it.

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
+import time
 
 import pytest
 
@@ -11,8 +13,12 @@ from conftest import (
     rex_script_entries,
     write_scripts_file,
 )
+import rexgot.cli as cli
+from rexgot.backend import Completion
 from rexgot.cli import main
 from rexgot.dataset import Corpus, save_corpus
+from rexgot.evaluation import evaluate
+from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER
 
 
 @pytest.fixture
@@ -301,6 +307,29 @@ def test_malformed_scripts_file_is_an_error(tmp_path, bob_movie_setup, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_scripts_file_that_is_not_utf8_is_an_error(tmp_path, bob_movie_setup, capsys):
+    corpus_path, scripts_path = bob_movie_setup
+    scripts_path.write_bytes(b'{"default": ["Answer: \xff"]}')
+    out_dir = tmp_path / "out"
+    assert main(run_args(corpus_path, scripts_path, out_dir)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: scripts file {scripts_path} is not UTF-8 JSON: 'utf-8' codec can't decode"
+    )
+    assert not out_dir.exists()
+
+
+def test_corpus_that_is_not_utf8_is_an_error(tmp_path, bob_movie_setup, capsys):
+    corpus_path, scripts_path = bob_movie_setup
+    corpus_path.write_bytes(corpus_path.read_bytes() + b"\xff\n")
+    message = f"error: {corpus_path}, line 2: not UTF-8 (invalid start byte at byte 0)\n"
+    assert main(["stats", "--corpus", str(corpus_path)]) == 1
+    assert capsys.readouterr().err == message
+    out_dir = tmp_path / "out"
+    assert main(run_args(corpus_path, scripts_path, out_dir)) == 1
+    assert capsys.readouterr().err == message
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "content", [pytest.param(b"{not json", id="bad_json"), pytest.param(b"\xff{", id="not_utf8")]
 )
@@ -390,6 +419,97 @@ def test_malformed_cache_body_fails_only_its_instance(tmp_path, capsys, edit, ca
     names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
              "traces/q1.json", "traces/q2.json", "traces/q3.json"]
     assert all((out / name).is_file() for name in names)
+
+
+class HoldingBackend:
+    """Answers every rex_got step alike. A call whose prompt holds ``held`` waits
+    for ``release``, then raises ``error`` if one is given."""
+
+    def __init__(self, held, error=None):
+        self.held = held
+        self.error = error
+        self.release = threading.Event()
+
+    def complete(self, request):
+        if self.held in request.prompt:
+            if not self.release.wait(timeout=30):
+                raise RuntimeError("never released")
+            if self.error is not None:
+                raise self.error
+        if VERDICTS_HEADER in request.prompt:
+            text = "Answer: A"
+        elif EXCLUSION_HEADER in request.prompt:
+            text = "Verdict: reasonable"
+        else:
+            text = "Excluded: B"
+        return [Completion(text=text)] * request.n_samples
+
+
+def _held_run_config(tmp_path, monkeypatch, backend):
+    """q1..q3, listed out of id order, run by ``backend`` on three workers."""
+    instances = tuple(make_instance(f"q{i}", option_prefix=f"q{i}") for i in (3, 1, 2))
+    corpus_path = tmp_path / "held.jsonl"
+    save_corpus(Corpus(name="held", instances=instances), corpus_path)
+    monkeypatch.setattr(cli, "build_backend", lambda config: backend)
+    return cli.RunConfig(
+        corpus=str(corpus_path), strategy="rex_got", backend="scripted", scripts="unused",
+        workers=3, out=str(tmp_path / "out"),
+    )
+
+
+def _written(out_dir):
+    """The instance ids of the complete lines in predictions.jsonl, and the trace names."""
+    text = (out_dir / "predictions.jsonl").read_text("utf-8")
+    ids = [json.loads(line)["instance_id"] for line in text.splitlines(keepends=True)
+           if line.endswith("\n")]
+    return ids, sorted(path.name for path in (out_dir / "traces").iterdir())
+
+
+def test_run_writes_each_instance_as_it_finishes(tmp_path, monkeypatch):
+    backend = HoldingBackend("q3 text")
+    config = _held_run_config(tmp_path, monkeypatch, backend)
+    evaluated = []
+
+    def recording_evaluate(predictions, *args, **kwargs):
+        evaluated.extend(predictions)
+        return evaluate(predictions, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    out_dir = tmp_path / "out"
+    codes = []
+    run = threading.Thread(target=lambda: codes.append(cli.cmd_run(config)))
+    run.start()
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if out_dir.joinpath("traces", "q2.json").exists():
+                break
+            time.sleep(0.01)
+        # q3 is still held, yet q1 and q2 are on disk in id order.
+        assert _written(out_dir) == (["q1", "q2"], ["q1.json", "q2.json"])
+        assert run.is_alive()
+        assert not (out_dir / "report.json").exists()
+    finally:
+        backend.release.set()
+        run.join(timeout=30)
+    assert not run.is_alive()
+    assert codes == [0]
+    assert _written(out_dir) == (["q1", "q2", "q3"], ["q1.json", "q2.json", "q3.json"])
+    assert json.loads((out_dir / "traces" / "q3.json").read_text())["graph"] is not None
+    # Scoring gets each prediction without its paths and their raw texts.
+    assert [p.instance_id for p in evaluated] == ["q1", "q2", "q3"]
+    assert all(p.paths == () and p.chosen == {0} for p in evaluated)
+
+
+def test_run_ended_by_a_non_backend_error_keeps_the_finished_prefix(tmp_path, monkeypatch):
+    backend = HoldingBackend("q3 text", error=RuntimeError("not a backend error"))
+    backend.release.set()
+    config = _held_run_config(tmp_path, monkeypatch, backend)
+    with pytest.raises(RuntimeError, match="not a backend error"):
+        cli.cmd_run(config)
+    out_dir = tmp_path / "out"
+    assert _written(out_dir) == (["q1", "q2"], ["q1.json", "q2.json"])
+    assert not (out_dir / "report.json").exists()
 
 
 def test_compare_command_five_reports(tmp_path, capsys):

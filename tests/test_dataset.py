@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import oracle_distinct_dialogues
@@ -16,6 +18,7 @@ from rexgot.dataset import (
     load_corpus,
     save_corpus,
 )
+from rexgot.model import RexGotError
 
 
 def canonical_record(instance_id="c1", answers=(0,), m=4):
@@ -81,6 +84,89 @@ def test_malformed_json_line(tmp_path):
     with pytest.raises(MalformedLine) as err:
         load_corpus(path)
     assert err.value.line_no == 2
+
+
+VALID_LINE = json.dumps(canonical_record("c1")).encode("utf-8")
+FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        pytest.param(
+            VALID_LINE.replace(b"c1", b"c\xff"), MalformedLine,
+            "not UTF-8 (invalid start byte at byte 9)", id="not_utf8",
+        ),
+        pytest.param(
+            b"[" * 100_000 + b"]" * 100_000, MalformedLine,
+            "invalid JSON (maximum recursion depth", id="deep_nesting",
+        ),
+        pytest.param(
+            VALID_LINE.replace(b'"target_index": 0', b'"target_index": ' + b"1" * 5000),
+            MalformedLine, "invalid JSON (Exceeds the limit", id="long_integer",
+        ),
+        pytest.param(
+            VALID_LINE.replace(FIRST_TURN, b'"A: hi"'), ValidationFailed,
+            "dialogue turns must be objects, got 'A: hi'", id="turn_not_an_object",
+        ),
+        pytest.param(
+            VALID_LINE[:-1] + b', "inference_type": ["cause"]}', ValidationFailed,
+            "inference_type must be a string, got ['cause']", id="inference_type_not_a_string",
+        ),
+    ],
+)
+def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(json.dumps(canonical_record("c0")).encode("utf-8") + b"\n" + line + b"\n")
+    with pytest.raises(error) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}, line 2: {message}")
+    assert err.value.line_no == 2
+
+
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 30) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A canonical record's line with one field replaced or deleted, and maybe a few bytes."""
+    record = {**canonical_record("c2"), "inference_type": "cause"}
+    fields = [(record, key) for key in record]
+    fields += [(record["dialogue"], 0), (record["dialogue"][0], "speaker"),
+               (record["dialogue"][0], "text"), (record["options"], 0), (record["answers"], 0)]
+    container, key = draw(st.sampled_from(fields))
+    value = draw(st.just(DELETE) | JSON_VALUES)
+    if value is DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    line = json.dumps(record).encode("utf-8")
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(line)))
+        end = draw(st.integers(start, min(start + 2, len(line))))
+        junk = draw(st.binary(max_size=2).filter(lambda b: b"\n" not in b))
+        line = line[:start] + junk + line[end:]
+    return line
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=mutated_lines())
+def test_mutated_line_loads_or_fails_naming_its_line(tmp_path, line):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(json.dumps(canonical_record("c1")).encode("utf-8") + b"\n" + line + b"\n")
+    try:
+        corpus = load_corpus(path)
+    except RexGotError as exc:
+        assert str(exc).startswith(f"{path}, line 2: ")
+    else:
+        corpus_stats(corpus).to_json_dict()
 
 
 def test_unknown_format(tmp_path):

@@ -394,18 +394,29 @@ class StepBackend:
         return [Completion(text=text) for text in texts]
 
 
-def test_rex_got_call_budget(bob_movie_instance):
+def test_rex_got_call_budget(bob_movie_instance, monkeypatch):
+    import rexgot.reasoner as reasoner
+
+    # Each greedy question is rendered once, however many paths ask it.
+    renders = []
+
+    def counting_render(*args, **kwargs):
+        renders.append(args)
+        return render_prompt(*args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "render_prompt", counting_render)
     k, m = 3, bob_movie_instance.m
     # K distinct step-1 texts: one batched step-1 request, then per path m verdicts + 1 combine.
     backend = CountingWrapper(StepBackend(["Excluded: A", "Excluded: B", "Excluded: C"]))
     prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, ReasonerConfig(k=k))
-    assert len(backend.requests) == 1 + k * (m + 1)
+    assert len(backend.requests) == len(renders) == 1 + k * (m + 1)
     assert backend.requests[0].n_samples == k
     assert [p.a1.excluded for p in prediction.paths] == [{0}, {1}, {2}]
     # K identical step-1 texts ask every path the same questions, once each.
+    renders.clear()
     backend = CountingWrapper(scripted_rex_backend(bob_movie_instance))
     prediction = run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, ReasonerConfig(k=k))
-    assert len(backend.requests) == 1 + m + 1
+    assert len(backend.requests) == len(renders) == 1 + m + 1
     assert backend.requests[0].n_samples == k
     assert len(prediction.paths) == k
     assert prediction.vote_tally == {0: k, 1: k, 2: 0, 3: 0, 4: k}
