@@ -589,7 +589,7 @@ class HTTPBackend:
                  payload.get("usage"))
                 for choice in payload["choices"]
             ]
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ProtocolError(f"unexpected response shape: {text[:200]}") from exc
         return _decode(samples, n_samples, text)
 
@@ -708,7 +708,7 @@ class CachingBackend:
             try:
                 completions = json.loads(line)["completions"]
                 samples = [(c["text"], c["finish_reason"], c["usage"]) for c in completions]
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ProtocolError(f"malformed cache entry: {line[:200]}") from exc
             return _decode(samples, request.n_samples, f"cache entry {line}")
         if self.mode == CACHE_REPLAY:

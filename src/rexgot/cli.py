@@ -172,7 +172,7 @@ def _load_scripted(path: str) -> ScriptedBackend:
     """The backend a ``--scripts`` file describes; a malformed file is a :class:`RexGotError`."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
         raise RexGotError(f"scripts file {path} is not UTF-8 JSON: {exc}") from exc
     scripts = payload.get("scripts", []) if isinstance(payload, dict) else None
     if not isinstance(scripts, list) or not all(isinstance(entry, dict) for entry in scripts):
@@ -313,7 +313,7 @@ def cmd_compare(report_paths: Sequence[str], as_json: bool = False) -> int:
         try:
             payload = json.loads(Path(path).read_text("utf-8"))
             reports.append(EvalReport.from_json_dict(payload))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             print(f"cannot read report {path}: {exc}", file=sys.stderr)
             return 2
     table = compare_report(reports)
@@ -393,7 +393,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text("utf-8"))
-        except ValueError as exc:  # also UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
             raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
@@ -432,7 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RexGotError, OSError, json.JSONDecodeError) as exc:
+    except (RexGotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -109,7 +109,7 @@ def load_corpus(path: str | Path, format: str = CANONICAL, name: str | None = No
             if format == CICERO_RELEASE:
                 try:
                     record = _adapt_release_record(record)
-                except (RexGotError, KeyError, TypeError, ValueError) as exc:
+                except (RexGotError, KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise ValidationFailed(path, line_no, exc) from exc
             try:
                 instance = validate_instance(record)

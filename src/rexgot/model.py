@@ -100,8 +100,29 @@ class MCQInstance:
         object.__setattr__(self, "gold", frozenset(self.gold))
         if not self.id:
             raise ValidationError("instance id is empty", field_name="id")
+        # The id names the instance's trace file, so it must be one file-name component.
+        if "/" in self.id or "\0" in self.id or self.id in (".", ".."):
+            raise ValidationError(
+                f"instance id {self.id!r} is not a single file name", field_name="id"
+            )
         if not self.dialogue:
             raise ValidationError("dialogue has no turns", field_name="dialogue")
+        texts = {
+            "id": [self.id],
+            "dialogue": [s for turn in self.dialogue for s in (turn.speaker, turn.text)],
+            "question": [self.question],
+            "options": self.options,
+            "inference_type": [self.inference_type or ""],
+        }
+        for name, values in texts.items():
+            # Only a lone surrogate, such as a JSON escape \udcff decodes to, fails here.
+            try:
+                "".join(values).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(
+                    f"instance {self.id!r}: {name} holds a lone surrogate, which is not UTF-8",
+                    field_name=name,
+                ) from None
         if len(self.options) < 2:
             raise EmptyOptions(
                 f"instance {self.id}: got {len(self.options)} options, need >= 2",

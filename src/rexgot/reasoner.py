@@ -399,20 +399,16 @@ def _rex_got(
     instance: MCQInstance, backend: Backend, config: ReasonerConfig, pool: Executor
 ) -> Prediction:
     exclusions = run_step1(instance, backend, config)
-    verdicts: list[dict[int, OptionVerdict]] = [{} for _ in exclusions]
-    combined: dict[int, tuple[frozenset[int], bool]] = {}
     # Greedy calls by what their prompt is rendered from: paths that ask the
-    # same question share its call and render it once. Only this thread
-    # touches it, so it needs no lock.
+    # same question share its call and render it once, so one future may
+    # answer several paths. Only this thread touches it, so it needs no lock.
     shared: dict[tuple, Future] = {}
-    # Each pending call maps to the (path id, option index) pairs it answers,
-    # with option index None for step 3.
-    pending: dict[Future, list[tuple[int, int | None]]] = {}
+    running: set[Future] = set()  # calls asked and not yet seen to finish
 
     def ask(
         kind: PromptKind, key: tuple, parse: Callable[[str], object], temperature: float,
-        answers: tuple[int, int | None], **stage_inputs,
-    ) -> None:
+        **stage_inputs,
+    ) -> Future:
         future = shared.get(key)
         if future is None:
             # Rendered on this thread, not on the pool: many pool threads
@@ -423,47 +419,48 @@ def _rex_got(
             future = pool.submit(_ask, prompt, parse, temperature, backend, config)
             if temperature == 0:
                 shared[key] = future
-        # A finished call goes back into ``pending`` and is delivered on the next wait.
-        pending.setdefault(future, []).append(answers)
+        running.add(future)
+        return future
 
     try:
-        for path_id, a1 in enumerate(exclusions):
-            for i in range(instance.m):
-                ask(
-                    PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
-                    config.temperature_step2, (path_id, i), a1=a1.raw_text, option_index=i,
-                )
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        # Step 2 is a K×m grid of verdict calls; step 3 is one combining call
+        # per path, asked once that path's row is done.
+        grid = [
+            [
+                ask(PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
+                    config.temperature_step2, a1=a1.raw_text, option_index=i)
+                for i in range(instance.m)
+            ]
+            for a1 in exclusions
+        ]
+        combining: list[Future | None] = [None] * len(grid)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            running -= done
             for future in done:
-                parsed, text = future.result()
-                for path_id, i in pending.pop(future):
-                    a1 = exclusions[path_id]
-                    if i is None:
-                        combined[path_id] = _final_set(parsed, instance, a1, verdicts[path_id])
-                        continue
-                    # A verdict still unparseable after its retry abstains.
-                    verdict = parsed if parsed is not None else Verdict.ABSTAIN
-                    verdicts[path_id][i] = OptionVerdict(verdict=verdict, raw_text=text)
-                    if len(verdicts[path_id]) == instance.m:
-                        # Verdicts go in option order.
-                        a2 = verdicts[path_id] = dict(sorted(verdicts[path_id].items()))
-                        texts = {j: v.raw_text for j, v in a2.items()}
-                        ask(
-                            PromptKind.STEP3_COMBINE, (a1.raw_text, tuple(texts.values())),
-                            lambda t: parse_final_set(t, instance.m), config.temperature_step3,
-                            (path_id, None), a1=a1.raw_text, a2=texts,
-                        )
+                future.result()  # a failed call fails the instance at once
+            for path_id, (a1, row) in enumerate(zip(exclusions, grid)):
+                if combining[path_id] is None and all(f.done() for f in row):
+                    texts = {i: f.result()[1] for i, f in enumerate(row)}
+                    combining[path_id] = ask(
+                        PromptKind.STEP3_COMBINE, (a1.raw_text, tuple(texts.values())),
+                        lambda t: parse_final_set(t, instance.m), config.temperature_step3,
+                        a1=a1.raw_text, a2=texts,
+                    )
     finally:
         # On failure, no call of this instance may outlive it.
-        for future in pending:
+        for future in running:
             future.cancel()
-        wait(pending)
+        wait(running)
 
     paths = []
-    for path_id, a1 in enumerate(exclusions):
-        a2 = verdicts[path_id]
-        a3, step3_fallback = combined[path_id]
+    for path_id, (a1, row, combined) in enumerate(zip(exclusions, grid, combining)):
+        # A verdict still unparseable after its retry abstains.
+        a2 = {
+            i: OptionVerdict(verdict=Verdict.ABSTAIN if parsed is None else parsed, raw_text=text)
+            for i, (parsed, text) in enumerate(f.result() for f in row)
+        }
+        a3, step3_fallback = _final_set(combined.result()[0], instance, a1, a2)
         degenerate = (
             a1.parse_failed
             or any(v.verdict is Verdict.ABSTAIN for v in a2.values())

@@ -276,6 +276,21 @@ def test_http_protocol_error_on_malformed_finish_reason_or_usage(payload):
     assert len(calls) == 1
 
 
+LONG_INTEGER = "1" * 5000
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "usage", [pytest.param(LONG_INTEGER, id="long_integer"), pytest.param(DEEP_NESTING, id="deep")]
+)
+def test_http_protocol_error_on_usage_json_cannot_hold(usage):
+    body = '{"choices": [{"message": {"content": "ok"}}], "usage": %s}' % usage
+    backend, calls = make_http([(200, {}, body)], [])
+    with pytest.raises(ProtocolError, match="unexpected response shape"):
+        backend.complete(request())
+    assert len(calls) == 1
+
+
 def test_http_protocol_error_on_partial_choices():
     backend, _ = make_http([(200, {}, chat_body(["only one"]))], [])
     with pytest.raises(ProtocolError):

@@ -300,11 +300,23 @@ def test_config_file_that_is_not_an_object_is_config_error(
     assert not out_dir.exists()
 
 
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
+
 def test_malformed_scripts_file_is_an_error(tmp_path, bob_movie_setup, capsys):
     corpus_path, scripts_path = bob_movie_setup
     scripts_path.write_text("{not json", "utf-8")
     assert main(run_args(corpus_path, scripts_path, tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_scripts_file_is_an_error(tmp_path, bob_movie_setup, capsys):
+    corpus_path, scripts_path = bob_movie_setup
+    scripts_path.write_text(DEEP_NESTING, "utf-8")
+    assert main(run_args(corpus_path, scripts_path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: scripts file {scripts_path} is not UTF-8 JSON: maximum recursion depth"
+    )
 
 
 def test_scripts_file_that_is_not_utf8_is_an_error(tmp_path, bob_movie_setup, capsys):
@@ -331,7 +343,45 @@ def test_corpus_that_is_not_utf8_is_an_error(tmp_path, bob_movie_setup, capsys):
 
 
 @pytest.mark.parametrize(
-    "content", [pytest.param(b"{not json", id="bad_json"), pytest.param(b"\xff{", id="not_utf8")]
+    "edit, message",
+    [
+        pytest.param(
+            lambda line: line.replace(b'"q1"', b'"../escaped"'),
+            "instance id '../escaped' is not a single file name", id="id_escapes_traces",
+        ),
+        pytest.param(
+            lambda line: line.replace(b'"q1"', b'"a/b"'),
+            "instance id 'a/b' is not a single file name", id="id_with_a_slash",
+        ),
+        pytest.param(
+            lambda line: line.replace(b'"question": "', b'"question": "q\\udcff? '),
+            "instance 'q1': question holds a lone surrogate, which is not UTF-8",
+            id="lone_surrogate",
+        ),
+    ],
+)
+def test_corpus_line_that_cannot_be_run_is_an_error(tmp_path, capsys, edit, message):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus(name="one", instances=(make_instance("q1"),)), corpus_path)
+    corpus_path.write_bytes(edit(corpus_path.read_bytes()))
+    scripts_path = write_scripts_file(tmp_path / "scripts.json", [], default=["Answer: A"])
+    out_dir = tmp_path / "out"
+    code = main([
+        "run", "--corpus", str(corpus_path), "--strategy", "standard",
+        "--backend", "scripted", "--scripts", str(scripts_path), "--out", str(out_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {corpus_path}, line 1: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "scripts.json"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"{not json", id="bad_json"),
+        pytest.param(b"\xff{", id="not_utf8"),
+        pytest.param(DEEP_NESTING.encode(), id="deep_nesting"),
+    ],
 )
 def test_config_file_that_is_not_json_is_config_error(tmp_path, bob_movie_setup, capsys, content):
     corpus_path, scripts_path = bob_movie_setup
@@ -393,6 +443,14 @@ def _record_three_instances(tmp_path):
             lambda line: re.sub(rb'"completions":\[.*?\],"request"', b'"completions":[],"request"',
                                 line),
             "asked for 1 samples, got 0", id="no_completions",
+        ),
+        pytest.param(
+            lambda line: line.replace(b'"usage":null', b'"usage":' + b"1" * 5000),
+            "malformed cache entry", id="long_integer",
+        ),
+        pytest.param(
+            lambda line: line.replace(b'"usage":null', b'"usage":' + DEEP_NESTING.encode()),
+            "malformed cache entry", id="deep_nesting",
         ),
     ],
 )
@@ -551,6 +609,13 @@ def test_compare_unreadable_report(tmp_path, capsys):
     path.write_text("{nope")
     assert main(["compare", str(path)]) == 2
     assert "cannot read report" in capsys.readouterr().err
+
+
+def test_compare_deeply_nested_report(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_NESTING)
+    assert main(["compare", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot read report {path}: maximum recursion")
 
 
 def test_stats_command(tmp_path, capsys):

@@ -19,6 +19,7 @@ from rexgot.dataset import (
     save_corpus,
 )
 from rexgot.model import RexGotError
+from rexgot.prompts import PromptKind, render_prompt
 
 
 def canonical_record(instance_id="c1", answers=(0,), m=4):
@@ -113,6 +114,18 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             VALID_LINE[:-1] + b', "inference_type": ["cause"]}', ValidationFailed,
             "inference_type must be a string, got ['cause']", id="inference_type_not_a_string",
         ),
+        pytest.param(
+            VALID_LINE.replace(b'"c1"', b'"../escaped"'), ValidationFailed,
+            "instance id '../escaped' is not a single file name", id="id_escapes_its_directory",
+        ),
+        pytest.param(
+            VALID_LINE.replace(b'"c1"', b'"a/b"'), ValidationFailed,
+            "instance id 'a/b' is not a single file name", id="id_with_a_slash",
+        ),
+        pytest.param(
+            VALID_LINE.replace(b"What might", b"What\\udcff might"), ValidationFailed,
+            "instance 'c1': question holds a lone surrogate", id="lone_surrogate",
+        ),
     ],
 )
 def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
@@ -125,8 +138,14 @@ def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
 
 
 DELETE = object()
+# Ids that are paths, and text with a low surrogate that no high one precedes,
+# which json.dumps writes as a lone \udXXX escape.
+BAD_STRINGS = st.sampled_from(["a/b", "../c2", "..", ".", "c\0"]) | st.integers(
+    0xDC00, 0xDFFF
+).map(lambda c: f"q{chr(c)}?")
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 30) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-2, 30) | st.floats() | st.text(max_size=6)
+    | BAD_STRINGS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=5,
@@ -141,7 +160,7 @@ def mutated_lines(draw):
     fields += [(record["dialogue"], 0), (record["dialogue"][0], "speaker"),
                (record["dialogue"][0], "text"), (record["options"], 0), (record["answers"], 0)]
     container, key = draw(st.sampled_from(fields))
-    value = draw(st.just(DELETE) | JSON_VALUES)
+    value = draw(st.just(DELETE) | BAD_STRINGS | JSON_VALUES)
     if value is DELETE:
         del container[key]
     else:
@@ -167,6 +186,10 @@ def test_mutated_line_loads_or_fails_naming_its_line(tmp_path, line):
         assert str(exc).startswith(f"{path}, line 2: ")
     else:
         corpus_stats(corpus).to_json_dict()
+        for instance in corpus.instances:
+            assert "/" not in instance.id and instance.id not in (".", "..")
+            for kind in PromptKind:
+                render_prompt(instance, kind, a1="a1", a2={0: "a2"}, option_index=0).encode()
 
 
 def test_unknown_format(tmp_path):
@@ -311,6 +334,15 @@ def test_release_adapter_unresolvable_text_is_hard_error(tmp_path):
     path = write_lines(tmp_path / "rel.jsonl", [record])
     with pytest.raises(ValidationFailed):
         load_corpus(path, format="cicero_release")
+
+
+def test_release_adapter_deeply_nested_answer_list_is_hard_error(tmp_path):
+    record = release_record()
+    record["Correct Answers"] = "[" * 100_000 + "]" * 100_000
+    path = write_lines(tmp_path / "rel.jsonl", [release_record("r0"), record])
+    with pytest.raises(ValidationFailed, match="line 2: maximum recursion depth") as err:
+        load_corpus(path, format="cicero_release")
+    assert err.value.line_no == 2
 
 
 def test_release_adapter_multi_answer_file_is_all_multi(tmp_path):

@@ -47,6 +47,39 @@ def test_empty_gold_rejected():
     assert err.value.field_name == "gold"
 
 
+@pytest.mark.parametrize("instance_id", ["a/b", "../escaped", "/abs", "..", ".", "nul\0"])
+def test_id_that_is_not_one_file_name_rejected(instance_id):
+    with pytest.raises(ValidationError, match="is not a single file name") as err:
+        validate_instance(raw_record(id=instance_id))
+    assert err.value.field_name == "id"
+
+
+@pytest.mark.parametrize("instance_id", ["...", ".hidden", "a..b", "a\\b", "a b"])
+def test_id_that_is_one_file_name_accepted(instance_id):
+    assert validate_instance(raw_record(id=instance_id)).id == instance_id
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("id", {"id": "r\udcff"}),
+        ("dialogue", {"dialogue": [{"speaker": "A\ud800", "text": "hi"}]}),
+        ("question", {"question": "q\udcff?"}),
+        ("options", {"options": ["one", "two\udfff"]}),
+        ("inference_type", {"inference_type": "\udbff"}),
+    ],
+)
+def test_lone_surrogate_in_any_text_rejected(field, overrides):
+    record = raw_record(**overrides, target_index=0, answers=[0])
+    with pytest.raises(ValidationError, match="holds a lone surrogate") as err:
+        validate_instance(record)
+    assert err.value.field_name == field
+
+
+def test_astral_characters_accepted():
+    assert validate_instance(raw_record(question="Why \U0001f600?")).question == "Why \U0001f600?"
+
+
 def test_target_index_equal_to_n_rejected():
     with pytest.raises(TargetOutOfRange):
         validate_instance(raw_record(target_index=2))

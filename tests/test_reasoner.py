@@ -661,6 +661,38 @@ def test_rex_got_fan_out_stays_within_k_times_m_on_a_shared_pool(bob_movie_insta
     assert 1 < backend.peak <= config.k * bob_movie_instance.m
 
 
+class HoldingBackend(StepBackend):
+    """Two step-1 texts; the second path's verdict calls wait for a step-3 call.
+
+    Each wait gives up after ``timeout`` seconds and records whether a
+    step-3 prompt was asked before then.
+    """
+
+    def __init__(self, timeout):
+        super().__init__(["Excluded: A", "Excluded: B"])
+        self.timeout = timeout
+        self.step3_asked = threading.Event()
+        self.held = []
+
+    def complete(self, request):
+        if VERDICTS_HEADER in request.prompt:
+            self.step3_asked.set()
+        elif "Excluded: B" in request.prompt:
+            self.held.append(self.step3_asked.wait(self.timeout))
+        return super().complete(request)
+
+
+def test_rex_got_asks_a_paths_step3_once_its_own_verdicts_are_in():
+    # Path 1's verdicts are held until path 0's combining call has been asked,
+    # so a run that waits for every verdict before any step 3 would time out.
+    instance = make_instance(m=4)
+    backend = HoldingBackend(timeout=5)
+    prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=2))
+    assert backend.held == [True] * instance.m
+    assert [p.a1.excluded for p in prediction.paths] == [{0}, {1}]
+    assert prediction.chosen == frozenset({0})
+
+
 def test_rex_got_step2_failure_surfaces_and_leaves_no_call_running(bob_movie_instance):
     config = ReasonerConfig(k=3)
     failing = render_prompt(
