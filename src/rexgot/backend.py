@@ -190,6 +190,12 @@ def _responses(responses: Sequence[str]) -> tuple[str, ...]:
     texts = tuple(responses) if isinstance(responses, (list, tuple)) else ()
     if not texts or not all(isinstance(text, str) for text in texts):
         raise ValueError(f"responses must be a non-empty list of strings, got {responses!r:.80}")
+    # Only a lone surrogate, such as a JSON escape \udcff decodes to, fails here;
+    # quoted in a later prompt it could not be encoded.
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("responses hold a lone surrogate, which is not UTF-8") from None
     return texts
 
 

@@ -170,38 +170,31 @@ def evaluate(
 
     strategy = predictions[0].strategy.value if predictions else "none"
     pairs = []
-    ems = []
-    buckets: dict[int, list[int]] = {}
-    bucket_pairs: dict[int, list] = {}
+    by_size: dict[int, list] = {}
     for prediction in sorted(predictions, key=lambda p: p.instance_id):
         instance = by_id[prediction.instance_id]
         pair = (prediction.chosen, instance.gold, instance.m)
         pairs.append(pair)
-        em = exact_match(prediction.chosen, instance.gold)
-        ems.append(em)
-        size = len(instance.gold)
-        buckets.setdefault(size, []).append(em)
-        bucket_pairs.setdefault(size, []).append(pair)
+        by_size.setdefault(len(instance.gold), []).append(pair)
 
     if not pairs:
         raise EmptyInput("cannot evaluate zero predictions")
-    by_gold_count = {
-        size: BucketScore(
-            n=len(bucket_ems),
-            macro_f1=macro_f1(bucket_pairs[size]),
-            em=sum(bucket_ems) / len(bucket_ems),
-        )
-        for size, bucket_ems in buckets.items()
-    }
     return EvalReport(
         strategy=strategy,
         corpus_name=corpus.name,
         n_instances=len(pairs),
         macro_f1=macro_f1(pairs),
-        exact_match=sum(ems) / len(ems),
-        by_gold_count=by_gold_count,
+        exact_match=_exact_match_rate(pairs),
+        by_gold_count={
+            size: BucketScore(n=len(group), macro_f1=macro_f1(group), em=_exact_match_rate(group))
+            for size, group in by_size.items()
+        },
         config_fingerprint=config_fingerprint,
     )
+
+
+def _exact_match_rate(pairs: Sequence[tuple[Iterable[int], Iterable[int], int]]) -> float:
+    return sum(exact_match(pred, gold) for pred, gold, _ in pairs) / len(pairs)
 
 
 @dataclass(frozen=True)

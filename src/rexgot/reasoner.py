@@ -301,31 +301,20 @@ def _final_set(
 
 
 def _single_shot(
-    instance: MCQInstance,
-    kind: PromptKind,
-    strategy: Strategy,
-    backend: Backend,
-    config: ReasonerConfig,
-) -> Prediction:
+    instance: MCQInstance, kind: PromptKind, backend: Backend, config: ReasonerConfig
+) -> tuple[frozenset[int], bool]:
     prompt = render_prompt(instance, kind, max_prompt_tokens=config.max_prompt_tokens)
     chosen, _ = _ask(
         prompt, lambda t: parse_final_set(t, instance.m), config.temperature_step3, backend, config
     )
-    return Prediction(
-        instance_id=instance.id,
-        strategy=strategy,
-        chosen=chosen if chosen is not None else frozenset(range(instance.m)),
-        fallback_used=chosen is None,
-    )
+    if chosen is None:
+        return frozenset(range(instance.m)), True
+    return chosen, False
 
 
 def _pick_loop(
-    instance: MCQInstance,
-    kind: PromptKind,
-    strategy: Strategy,
-    backend: Backend,
-    config: ReasonerConfig,
-) -> Prediction:
+    instance: MCQInstance, kind: PromptKind, backend: Backend, config: ReasonerConfig
+) -> tuple[frozenset[int], bool]:
     verb = "pick" if kind is PromptKind.FORWARD_PICK else "remove"
     marked: list[int] = []
     fallback = False
@@ -349,18 +338,21 @@ def _pick_loop(
         if not more or len(marked) == instance.m:
             break
     if kind is PromptKind.FORWARD_PICK:
-        chosen = set(marked)
+        chosen = frozenset(marked)
     else:
-        chosen = set(range(instance.m)) - set(marked)
+        chosen = frozenset(range(instance.m)) - set(marked)
     if not chosen:
-        chosen = {0}
-        fallback = True
-    return Prediction(
-        instance_id=instance.id,
-        strategy=strategy,
-        chosen=frozenset(chosen),
-        fallback_used=fallback,
-    )
+        return frozenset({0}), True
+    return chosen, fallback
+
+
+# Each baseline strategy: its runner, returning (chosen, fallback_used), and its prompt.
+_BASELINES = {
+    Strategy.STANDARD: (_single_shot, PromptKind.STANDARD),
+    Strategy.COT: (_single_shot, PromptKind.VANILLA_COT),
+    Strategy.FORWARD: (_pick_loop, PromptKind.FORWARD_PICK),
+    Strategy.BACKWARD: (_pick_loop, PromptKind.BACKWARD_PICK),
+}
 
 
 def run_strategy(
@@ -381,14 +373,12 @@ def run_strategy(
     backend error reaches the caller as the backend raised it.
     """
     config = config or ReasonerConfig()
-    if strategy is Strategy.STANDARD:
-        return _single_shot(instance, PromptKind.STANDARD, strategy, backend, config)
-    if strategy is Strategy.COT:
-        return _single_shot(instance, PromptKind.VANILLA_COT, strategy, backend, config)
-    if strategy is Strategy.FORWARD:
-        return _pick_loop(instance, PromptKind.FORWARD_PICK, strategy, backend, config)
-    if strategy is Strategy.BACKWARD:
-        return _pick_loop(instance, PromptKind.BACKWARD_PICK, strategy, backend, config)
+    if strategy in _BASELINES:
+        runner, kind = _BASELINES[strategy]
+        chosen, fallback = runner(instance, kind, backend, config)
+        return Prediction(
+            instance_id=instance.id, strategy=strategy, chosen=chosen, fallback_used=fallback
+        )
     if pool is None:
         with ThreadPoolExecutor(max_workers=config.k * instance.m) as own_pool:
             return _rex_got(instance, backend, config, own_pool)

@@ -114,7 +114,7 @@ def test_register_script_requires_responses():
         backend.register_script(responses=["x"])  # neither prompt nor digest
 
 
-@pytest.mark.parametrize("responses", [[5], "abc", [], ["ok", None]])
+@pytest.mark.parametrize("responses", [[5], "abc", [], ["ok", None], ["ok", "\udcff"]])
 def test_scripted_responses_must_be_a_non_empty_list_of_strings(responses):
     with pytest.raises(ValueError):
         ScriptedBackend().register_script(responses=responses, prompt="p")

@@ -18,6 +18,7 @@ from rexgot.backend import Completion
 from rexgot.cli import main
 from rexgot.dataset import Corpus, save_corpus
 from rexgot.evaluation import evaluate
+from rexgot.model import Prediction, Strategy
 from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER
 
 
@@ -265,6 +266,12 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
             {}, ["--max-prompt-tokens", "-5"], "max_prompt_tokens must be >= 1, got -5",
             id="max_prompt_tokens_below_1",
         ),
+        pytest.param({"format": "bogus"}, [], "unknown corpus format 'bogus'", id="format"),
+        pytest.param({"strategy": "bogus"}, [], "unknown strategy 'bogus'", id="strategy"),
+        pytest.param({"backend": "bogus"}, [], "unknown backend kind 'bogus'", id="backend"),
+        pytest.param({"cache_mode": "bogus"}, [], "unknown cache mode 'bogus'", id="cache_mode"),
+        pytest.param({}, ["--workers", "0"], "workers must be >= 1, got 0", id="workers_below_1"),
+        pytest.param({}, ["--repeat", "0"], "repeat must be >= 1, got 0", id="repeat_below_1"),
     ],
 )
 def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings, flags, message):
@@ -272,7 +279,11 @@ def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(settings))
     out_dir = tmp_path / "out"
-    code = main(run_args(corpus_path, scripts_path, out_dir, "--config", str(config_path), *flags))
+    args = run_args(corpus_path, scripts_path, out_dir, "--config", str(config_path), *flags)
+    for flag in (f"--{key}" for key in settings if f"--{key}" in args):
+        # The flag would override the config file's value, which argparse's choices stop.
+        del args[args.index(flag) : args.index(flag) + 2]
+    code = main(args)
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
@@ -327,6 +338,16 @@ def test_scripts_file_that_is_not_utf8_is_an_error(tmp_path, bob_movie_setup, ca
     assert capsys.readouterr().err.startswith(
         f"error: scripts file {scripts_path} is not UTF-8 JSON: 'utf-8' codec can't decode"
     )
+    assert not out_dir.exists()
+
+
+def test_scripts_response_with_a_lone_surrogate_is_an_error(tmp_path, bob_movie_setup, capsys):
+    # A lone surrogate cannot be encoded into a prompt once step 2 quotes the step-1 text.
+    corpus_path, scripts_path = bob_movie_setup
+    scripts_path.write_text(json.dumps({"default": ["Excluded: A \udcff"]}), "utf-8")
+    out_dir = tmp_path / "out"
+    assert main(run_args(corpus_path, scripts_path, out_dir, "--k", "1")) == 1
+    assert capsys.readouterr().err.startswith(f"error: scripts file {scripts_path}: ")
     assert not out_dir.exists()
 
 
@@ -568,6 +589,65 @@ def test_run_ended_by_a_non_backend_error_keeps_the_finished_prefix(tmp_path, mo
     out_dir = tmp_path / "out"
     assert _written(out_dir) == (["q1", "q2"], ["q1.json", "q2.json"])
     assert not (out_dir / "report.json").exists()
+
+
+class ChangingBackend:
+    """Answers "Answer: A" the first time it is asked a prompt, "Answer: A, B" after."""
+
+    def __init__(self):
+        self.asked = set()
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            again = request.prompt in self.asked
+            self.asked.add(request.prompt)
+        return [Completion(text="Answer: A, B" if again else "Answer: A")] * request.n_samples
+
+
+def test_repeats_that_differ_are_averaged(tmp_path, monkeypatch):
+    config = _held_run_config(tmp_path, monkeypatch, ChangingBackend())
+    # Distinct options give each instance its own prompt.
+    instances = tuple(
+        make_instance(f"r{i}", gold=gold, option_prefix=f"r{i}")
+        for i, gold in ((1, (0,)), (2, (0,)), (3, (0, 1)))
+    )
+    corpus = Corpus(name="changing", instances=instances)
+    save_corpus(corpus, config.corpus)
+    config.strategy, config.repeat = "standard", 2
+    assert cli.cmd_run(config) == 0
+    runs = [
+        evaluate(
+            [Prediction(instance_id=i.id, strategy=Strategy.STANDARD, chosen=frozenset(chosen))
+             for i in instances],
+            corpus,
+        )
+        for chosen in ({0}, {0, 1})
+    ]
+    assert runs[0].exact_match != runs[1].exact_match
+    out_dir = tmp_path / "out"
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["repeats"] == 2
+    assert report["n_instances"] == 3
+    assert report["macro_f1"] == pytest.approx((runs[0].macro_f1 + runs[1].macro_f1) / 2)
+    assert report["exact_match"] == pytest.approx((runs[0].exact_match + runs[1].exact_match) / 2)
+    assert report["by_gold_count"] == {
+        str(size): {
+            "n": runs[0].by_gold_count[size].n,
+            "macro_f1": pytest.approx(
+                (runs[0].by_gold_count[size].macro_f1 + runs[1].by_gold_count[size].macro_f1) / 2
+            ),
+            "em": pytest.approx(
+                (runs[0].by_gold_count[size].em + runs[1].by_gold_count[size].em) / 2
+            ),
+        }
+        for size in (1, 2)
+    }
+    # The written predictions are those of the first repeat.
+    lines = [json.loads(line) for line in (out_dir / "predictions.jsonl").read_text().splitlines()]
+    assert [(line["instance_id"], line["chosen"]) for line in lines] == [
+        ("r1", [0]), ("r2", [0]), ("r3", [0]),
+    ]
 
 
 def test_compare_command_five_reports(tmp_path, capsys):

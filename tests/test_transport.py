@@ -430,6 +430,10 @@ def test_body_without_keep_alive_is_read_whole_and_connection_not_reused(
         b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n" + chat_body("cut")[:20],
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(chat_body("cut"))[:30],
         b"HTTP/1.1 200 OK\r\nContent-Len",
+        pytest.param(b"HTTP/1.1 100 Continue\r\n\r\n", id="after_interim_response"),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1f", id="in_chunk_size_line"
+        ),
     ],
 )
 def test_server_closing_mid_response_is_transport_error(raw_server, cut):
@@ -452,6 +456,14 @@ def test_server_closing_mid_response_is_transport_error(raw_server, cut):
         b"HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 0\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nab\r\n0\r\n\r\n",
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabcd\r\n0\r\n\r\n",
+            id="chunk_longer_than_its_size",
+        ),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\nContent-Length: 0\r\n\r\n",
+            id="head_over_64_kib",
+        ),
     ],
 )
 def test_malformed_response_is_transport_error(raw_server, reply):
