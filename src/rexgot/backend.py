@@ -152,6 +152,9 @@ class ScriptedBackend:
             raise ValueError("register exactly one of prompt= or digest=")
         if not isinstance(prompt if digest is None else digest, str):
             raise ValueError("prompt= or digest= must be a string")
+        if digest is not None and not re.fullmatch("[0-9a-f]{64}", digest):
+            # No prompt could ever reach the script: prompt_digest is lowercase hex SHA-256.
+            raise ValueError(f"digest must be 64 lowercase hex characters, got {digest!r}")
         texts = _responses(responses)
         key = digest if digest is not None else prompt_digest(prompt)  # type: ignore[arg-type]
         if key in self._by_digest:

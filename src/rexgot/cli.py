@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Sequence, TypeVar
@@ -35,7 +35,7 @@ from .backend import (
 )
 from .dataset import FORMATS, corpus_stats, load_corpus
 from .evaluation import EvalReport, compare_report, evaluate, write_report_files
-from .model import MCQInstance, Prediction, RexGotError, Strategy
+from .model import JSON_TYPES, MCQInstance, Prediction, RexGotError, Strategy, check_json_types
 from .prompts import template_version
 from .reasoner import (
     ReasonerConfig,
@@ -49,8 +49,20 @@ from .reasoner import (
 )
 
 BACKEND_KINDS = ("http", "scripted")
-# What a config file may give for each RunConfig field type.
-_VALUE_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float)}
+# The allowed values of each RunConfig setting that has a fixed set of them.
+_CHOICES = {
+    "format": FORMATS,
+    "strategy": tuple(s.value for s in Strategy),
+    "backend": BACKEND_KINDS,
+    "vote_policy": tuple(k.value for k in VoteKind),
+    "tie_break": tuple(t.value for t in TieBreak),
+    "cache_mode": CACHE_MODES,
+}
+# Settings the fingerprint leaves out, as they do not shape results: where the
+# inputs and outputs are, how many instances run at once, and the cache mode,
+# since a cached answer is the one the server gave. The endpoint is left out
+# too, although the server it names does shape results.
+_UNFINGERPRINTED = {"corpus", "endpoint", "scripts", "workers", "cache_mode", "cache_dir", "out"}
 T = TypeVar("T")
 
 
@@ -58,40 +70,39 @@ class ConfigError(RexGotError):
     """Invalid run configuration; reported before any backend call."""
 
 
+def _setting(help: str, default: Any = MISSING) -> Any:
+    """A RunConfig field; a value outside its choices is a config error that names ``help``."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    corpus: str
-    strategy: str
-    format: str = "canonical"
-    backend: str = "http"
-    endpoint: str = ""
-    model: str = ""
-    scripts: str = ""
-    k: int = 3
-    temp_step1: float = 0.7
-    temp_step2: float = 0.0
-    temp_step3: float = 0.0
-    vote_policy: str = "per_option_majority"
-    tie_break: str = "prefer_exclude"
-    workers: int = 1
-    cache_mode: str = CACHE_OFF
-    cache_dir: str = "cache"
-    out: str = "out"
-    seed: int = 0
-    repeat: int = 1
-    max_tokens: int = 512
-    max_prompt_tokens: int | None = None
+    """Every ``rexgot run`` setting; each is a ``--flag`` and a config-file key of its name."""
+
+    corpus: str = _setting("corpus file path")
+    strategy: str = _setting("strategy")
+    format: str = _setting("corpus format", "canonical")
+    backend: str = _setting("backend kind", "http")
+    endpoint: str = _setting("base URL of the chat-completions endpoint", "")
+    model: str = _setting("model name sent to the backend", "")
+    scripts: str = _setting("JSON script file for the scripted backend", "")
+    k: int = _setting("number of sampled reasoning paths", 3)
+    temp_step1: float = _setting("temperature of the sampled exclusion step", 0.7)
+    temp_step2: float = _setting("temperature of the per-option analysis step", 0.0)
+    temp_step3: float = _setting("temperature of the combining step", 0.0)
+    vote_policy: str = _setting("vote policy", "per_option_majority")
+    tie_break: str = _setting("tie-break", "prefer_exclude")
+    workers: int = _setting("instances processed at once", 1)
+    cache_mode: str = _setting("cache mode", CACHE_OFF)
+    cache_dir: str = _setting("cache directory", "cache")
+    out: str = _setting("output directory", "out")
+    seed: int = _setting("seed written into the report fingerprint", 0)
+    repeat: int = _setting("repeat the run and average the metrics", 1)
+    max_tokens: int = _setting("completion token limit of each call", 512)
+    max_prompt_tokens: int | None = _setting("estimated prompt token budget", None)
 
     def validate(self) -> ReasonerConfig:
         """Check every setting; returns the reasoner configuration they make."""
-        if self.format not in FORMATS:
-            raise ConfigError(f"unknown corpus format {self.format!r}")
-        if self.strategy not in {s.value for s in Strategy}:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.backend not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind {self.backend!r}")
-        if self.cache_mode not in CACHE_MODES:
-            raise ConfigError(f"unknown cache mode {self.cache_mode!r}")
         try:
             reasoner_config = ReasonerConfig(
                 model_name=self.model,
@@ -107,6 +118,12 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # The enums above have already refused a bad vote policy or tie-break.
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                label = self.__dataclass_fields__[name].metadata["help"]
+                raise ConfigError(f"unknown {label} {value!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.repeat < 1:
@@ -130,22 +147,10 @@ class RunConfig:
         return reasoner_config
 
     def fingerprint(self) -> str:
-        """Digest of every result-shaping parameter (paths excluded)."""
-        payload = {
-            "backend": self.backend,
-            "model": self.model,
-            "strategy": self.strategy,
-            "format": self.format,
-            "k": self.k,
-            "temperatures": [self.temp_step1, self.temp_step2, self.temp_step3],
-            "vote_policy": self.vote_policy,
-            "tie_break": self.tie_break,
-            "seed": self.seed,
-            "repeat": self.repeat,
-            "max_tokens": self.max_tokens,
-            "max_prompt_tokens": self.max_prompt_tokens,
-            "template_version": template_version(),
-        }
+        """Digest of every setting that shapes results, and of the prompt templates."""
+        payload = {k: v for k, v in asdict(self).items() if k not in _UNFINGERPRINTED}
+        payload["temperatures"] = [payload.pop(f"temp_step{step}") for step in (1, 2, 3)]
+        payload["template_version"] = template_version()
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -305,7 +310,7 @@ def cmd_compare(report_paths: Sequence[str], as_json: bool = False) -> int:
         try:
             payload = json.loads(Path(path).read_text("utf-8"))
             reports.append(EvalReport.from_json_dict(payload))
-        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (OSError, TypeError, ValueError, RecursionError) as exc:
             print(f"cannot read report {path}: {exc}", file=sys.stderr)
             return 2
     table = compare_report(reports)
@@ -341,27 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one strategy over a corpus and write a report")
     run_p.add_argument("--config", help="JSON file supplying flag defaults")
-    run_p.add_argument("--corpus", help="corpus file path")
-    run_p.add_argument("--format", choices=FORMATS)
-    run_p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    run_p.add_argument("--backend", choices=BACKEND_KINDS)
-    run_p.add_argument("--endpoint", help="base URL of the chat-completions endpoint")
-    run_p.add_argument("--model", help="model name sent to the backend")
-    run_p.add_argument("--scripts", help="JSON script file for the scripted backend")
-    run_p.add_argument("--k", type=int, help="number of sampled reasoning paths")
-    run_p.add_argument("--temp-step1", type=float, dest="temp_step1")
-    run_p.add_argument("--temp-step2", type=float, dest="temp_step2")
-    run_p.add_argument("--temp-step3", type=float, dest="temp_step3")
-    run_p.add_argument("--vote-policy", choices=[k.value for k in VoteKind], dest="vote_policy")
-    run_p.add_argument("--tie-break", choices=[t.value for t in TieBreak], dest="tie_break")
-    run_p.add_argument("--workers", type=int)
-    run_p.add_argument("--cache-mode", choices=CACHE_MODES, dest="cache_mode")
-    run_p.add_argument("--cache-dir", dest="cache_dir")
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--repeat", type=int, help="repeat the run and average the metrics")
-    run_p.add_argument("--max-tokens", type=int, dest="max_tokens")
-    run_p.add_argument("--max-prompt-tokens", type=int, dest="max_prompt_tokens")
+    for setting in fields(RunConfig):
+        run_p.add_argument(
+            "--" + setting.name.replace("_", "-"),
+            type=JSON_TYPES[setting.type][0],
+            choices=_CHOICES.get(setting.name),
+            help=setting.metadata["help"],
+        )
 
     compare_p = sub.add_parser("compare", help="tabulate strategy reports side by side")
     compare_p.add_argument("reports", nargs="+", help="report.json files")
@@ -381,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides: dict[str, Any] = {}
+    settings: dict[str, Any] = {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text("utf-8"))
@@ -389,23 +380,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        overrides.update(loaded)
-    for key in RunConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    missing = [key for key in ("corpus", "strategy") if key not in overrides]
+        settings.update(loaded)
+    declared = fields(RunConfig)
+    flags = {s.name: getattr(args, s.name) for s in declared}
+    settings.update((name, value) for name, value in flags.items() if value is not None)
+    missing = [s.name for s in declared if s.default is MISSING and s.name not in settings]
     if missing:
         raise ConfigError(f"missing required setting(s): {', '.join(missing)}")
-    known = {k: v for k, v in overrides.items() if k in RunConfig.__dataclass_fields__}
-    unknown = set(overrides) - set(known)
+    unknown = set(settings) - {s.name for s in declared}
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for key, value in known.items():
-        kind = RunConfig.__dataclass_fields__[key].type
-        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
-            raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    return RunConfig(**known)
+    try:
+        check_json_types(RunConfig, settings)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(**settings)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -16,9 +16,10 @@ for the exact field mapping).
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -154,12 +155,8 @@ class CorpusStats:
     dialogue_count: int
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "by_gold_count": {str(k): v for k, v in sorted(self.by_gold_count.items())},
-            "by_inference_type": dict(sorted(self.by_inference_type.items())),
-            "dialogue_count": self.dialogue_count,
-        }
+        by_gold_count = {str(k): v for k, v in sorted(self.by_gold_count.items())}
+        return asdict(self) | {"by_gold_count": by_gold_count}
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -268,6 +265,8 @@ def _resolve_answers(raw: Any, options: list[str], inst_id: str) -> list[int]:
     for item in raw:
         if isinstance(item, bool):
             raise ValueError(f"record {inst_id}: boolean answer {item!r}")
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ValueError(f"record {inst_id}: non-finite answer {item!r}")
         if isinstance(item, (int, float)) and int(item) == item:
             indices.append(int(item))
             continue

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .dataset import Corpus
-from .model import Prediction, RexGotError
+from .model import Prediction, RexGotError, check_json_types
 
 
 class EmptyInput(RexGotError):
@@ -118,35 +118,21 @@ class EvalReport:
                 raise ValueError(f"{label} out of range: {value}")
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "corpus_name": self.corpus_name,
-            "n_instances": self.n_instances,
-            "macro_f1": self.macro_f1,
-            "exact_match": self.exact_match,
-            "by_gold_count": {
-                str(k): {"n": b.n, "macro_f1": b.macro_f1, "em": b.em}
-                for k, b in sorted(self.by_gold_count.items())
-            },
-            "config_fingerprint": self.config_fingerprint,
-            "repeats": self.repeats,
-        }
+        by_gold_count = {str(k): asdict(b) for k, b in sorted(self.by_gold_count.items())}
+        return asdict(self) | {"by_gold_count": by_gold_count}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "EvalReport":
-        return cls(
-            strategy=payload["strategy"],
-            corpus_name=payload["corpus_name"],
-            n_instances=payload["n_instances"],
-            macro_f1=payload["macro_f1"],
-            exact_match=payload["exact_match"],
-            by_gold_count={
-                int(k): BucketScore(n=v["n"], macro_f1=v["macro_f1"], em=v["em"])
-                for k, v in payload.get("by_gold_count", {}).items()
-            },
-            config_fingerprint=payload.get("config_fingerprint", ""),
-            repeats=payload.get("repeats", 1),
-        )
+        """The report :meth:`to_json_dict` wrote; a value of the wrong type is a TypeError."""
+        values = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        buckets = values.pop("by_gold_count", {})
+        if not isinstance(buckets, dict) or not all(isinstance(b, dict) for b in buckets.values()):
+            raise TypeError(f"by_gold_count must map gold counts to objects, got {buckets!r}")
+        check_json_types(cls, values)
+        for bucket in buckets.values():
+            check_json_types(BucketScore, bucket)
+        by_gold_count = {int(k): BucketScore(**b) for k, b in buckets.items()}
+        return cls(**values, by_gold_count=by_gold_count)
 
 
 def evaluate(

@@ -11,7 +11,7 @@ their own: :mod:`rexgot.prompts` renders them straight from an
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -21,6 +21,11 @@ if TYPE_CHECKING:
 MAX_OPTIONS = 26
 
 OPTION_LETTERS = string.ascii_uppercase
+
+# The JSON values a dataclass field of each declared type accepts; the first
+# is what a command-line flag's text converts to. A bool is neither an int
+# nor a float, though Python counts it as an int.
+JSON_TYPES = {"str": (str,), "int": (int,), "int | None": (int, type(None)), "float": (float, int)}
 
 
 class RexGotError(Exception):
@@ -49,6 +54,15 @@ class EmptyGold(ValidationError):
 
 class TargetOutOfRange(ValidationError):
     """The target utterance index does not address any dialogue turn."""
+
+
+def check_json_types(cls: type, values: Mapping[str, Any]) -> None:
+    """Raise :class:`TypeError` for the first value the type of its field in ``cls`` refuses."""
+    for declared in fields(cls):
+        if declared.name in values:
+            value = values[declared.name]
+            if isinstance(value, bool) or not isinstance(value, JSON_TYPES[declared.type]):
+                raise TypeError(f"{declared.name} must be {declared.type}, got {value!r}")
 
 
 def index_to_letter(index: int) -> str:

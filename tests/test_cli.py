@@ -5,6 +5,7 @@ import json
 import re
 import threading
 import time
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from conftest import (
 )
 import rexgot.cli as cli
 from rexgot.backend import Completion
-from rexgot.cli import main
+from rexgot.cli import RunConfig, main
 from rexgot.dataset import Corpus, save_corpus
 from rexgot.evaluation import evaluate
 from rexgot.model import Prediction, Strategy
@@ -698,6 +699,38 @@ def test_compare_deeply_nested_report(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"cannot read report {path}: maximum recursion")
 
 
+GOOD_REPORT = {
+    "strategy": "cot", "corpus_name": "c", "n_instances": 1, "macro_f1": 1.0,
+    "exact_match": 1.0, "by_gold_count": {"1": {"n": 1, "macro_f1": 1.0, "em": 1.0}},
+    "config_fingerprint": "x", "repeats": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param({"by_gold_count": None}, id="null_buckets"),
+        pytest.param({"by_gold_count": []}, id="list_buckets"),
+        pytest.param({"by_gold_count": {"1": [1, 1.0, 1.0]}}, id="list_bucket"),
+        pytest.param({"by_gold_count": {"x": GOOD_REPORT["by_gold_count"]["1"]}}, id="bucket_key"),
+        pytest.param(
+            {"by_gold_count": {"1": {"n": 1, "macro_f1": "1", "em": 1.0}}}, id="string_bucket_f1"
+        ),
+        pytest.param({"strategy": 3}, id="numeric_strategy"),
+        pytest.param({"repeats": "x"}, id="string_repeats"),
+        pytest.param({"n_instances": True}, id="bool_count"),
+        pytest.param({"exact_match": True}, id="bool_score"),
+        pytest.param({"config_fingerprint": None}, id="null_fingerprint"),
+        pytest.param({"corpus_name": None}, id="null_corpus"),
+    ],
+)
+def test_compare_malformed_report_is_refused(tmp_path, capsys, edit):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({**GOOD_REPORT, **edit}))
+    assert main(["compare", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot read report {path}: ")
+
+
 def test_stats_command(tmp_path, capsys):
     corpus_path = _toy_corpus(tmp_path)
     assert main(["stats", "--corpus", str(corpus_path)]) == 0
@@ -859,3 +892,62 @@ def test_golden_output_bytes(tmp_path, bob_movie_instance):
     assert main(run_args(partial_path, scripts_path, tmp_path / "partial")) == 1
     assert json.loads((tmp_path / "partial/traces/uncovered.json").read_text())["graph"] is None
     assert _output_digests(tmp_path / "partial") == GOLDEN_PARTIAL_FAILURE
+
+
+# A value other than the default for every RunConfig setting.
+SETTING_VALUES = {
+    "corpus": "c.jsonl", "strategy": "cot", "format": "cicero_release", "backend": "scripted",
+    "endpoint": "http://localhost:1", "model": "m", "scripts": "s.json", "k": 5,
+    "temp_step1": 0.5, "temp_step2": 0.25, "temp_step3": 0.125, "vote_policy": "path_plurality",
+    "tie_break": "prefer_include", "workers": 2, "cache_mode": "record", "cache_dir": "c",
+    "out": "o", "seed": 7, "repeat": 2, "max_tokens": 64, "max_prompt_tokens": 900,
+}
+# The settings that say where inputs, outputs and the server are, or how a run is spread.
+UNFINGERPRINTED = {"corpus", "endpoint", "scripts", "workers", "cache_mode", "cache_dir", "out"}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path, monkeypatch):
+    assert set(SETTING_VALUES) == {field.name for field in fields(RunConfig)}
+    configs = []
+    monkeypatch.setattr(cli, "cmd_run", configs.append)
+    flags = [arg for name, value in SETTING_VALUES.items() for arg in (_flag(name), str(value))]
+    main(["run", *flags])
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(SETTING_VALUES))
+    main(["run", "--config", str(config_path)])
+    assert configs == [RunConfig(**SETTING_VALUES)] * 2
+
+
+def test_run_help_lists_every_setting(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for field in fields(RunConfig):
+        assert re.search(rf"{_flag(field.name)}(?![\w-])", out), field.name
+
+
+def test_fingerprint_covers_every_setting_but_locations_and_spread():
+    base = RunConfig(corpus="c", strategy="rex_got")
+    digest = base.fingerprint()
+    assert digest == "f67503297145e53473f95ed5bb488c2b3469e57a182db8c189624d79789a4f46"
+    for name, value in SETTING_VALUES.items():
+        changed = replace(base, **{name: value}).fingerprint()
+        assert (changed == digest) == (name in UNFINGERPRINTED), name
+
+
+@pytest.mark.parametrize("digest", ["ABC", "A" * 64, "g" * 64, "a" * 63, "a" * 65])
+def test_scripts_digest_that_cannot_match_is_an_error(tmp_path, bob_movie_setup, capsys, digest):
+    corpus_path, _ = bob_movie_setup
+    scripts_path = tmp_path / "digest.json"
+    scripts_path.write_text(json.dumps(
+        {"scripts": [{"digest": digest, "responses": ["x"]}], "default": ["Answer: A"]}
+    ))
+    out_dir = tmp_path / "out"
+    assert main(run_args(corpus_path, scripts_path, out_dir)) == 1
+    assert capsys.readouterr().err.startswith(f"error: scripts file {scripts_path}: ")
+    assert not (out_dir / "report.json").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -350,3 +351,36 @@ def test_release_adapter_multi_answer_file_is_all_multi(tmp_path):
     path = write_lines(tmp_path / "v2.jsonl", records)
     corpus = load_corpus(path, format="cicero_release")
     assert all(len(inst.gold) >= 2 for inst in corpus.instances)
+
+
+@st.composite
+def mutated_release_lines(draw):
+    """A release record's line with one field, turn, choice or answer replaced or deleted."""
+    record = release_record("r2", answers=(0, 2))
+    fields = [(record, key) for key in record]
+    fields += [(record["Dialogue"], 1), (record["Choices"], 0), (record["Correct Answers"], 0)]
+    container, key = draw(st.sampled_from(fields))
+    # Answers may come as numbers, edge values among them, or as a JSON list inside a string.
+    numbers = st.sampled_from([math.inf, -math.inf, math.nan, 2.0, 0.5, -0.0]) | st.floats()
+    numbers |= st.integers()
+    value = draw(st.just(DELETE) | BAD_STRINGS | JSON_VALUES | numbers
+                 | st.lists(numbers | JSON_VALUES, max_size=3).map(json.dumps))
+    if value is DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    return json.dumps(record).encode("utf-8")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=mutated_release_lines())
+def test_mutated_release_line_loads_or_fails_naming_its_line(tmp_path, line):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(json.dumps(release_record("r1")).encode("utf-8") + b"\n" + line + b"\n")
+    try:
+        corpus = load_corpus(path, format="cicero_release")
+    except RexGotError as exc:
+        assert str(exc).startswith(f"{path}, line 2: ")
+    else:
+        corpus_stats(corpus).to_json_dict()
