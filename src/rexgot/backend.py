@@ -21,7 +21,7 @@ import sys
 import threading
 import time
 import urllib.parse
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
@@ -78,10 +78,8 @@ class CompletionRequest:
     temperature: float = 0.0
     max_tokens: int = 512
     model_name: str = ""
-    stop_sequences: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.temperature < 0:
@@ -103,21 +101,10 @@ class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> list[Completion]: ...
 
 
-def _request_fields(request: CompletionRequest) -> dict[str, Any]:
-    return {
-        "prompt": request.prompt,
-        "n_samples": request.n_samples,
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "model_name": request.model_name,
-        "stop_sequences": list(request.stop_sequences),
-    }
-
-
 def _canonical_request(request: CompletionRequest) -> bytes:
-    return json.dumps(
-        _request_fields(request), sort_keys=True, ensure_ascii=True, separators=(",", ":")
-    ).encode("ascii")
+    """Every field of ``request`` as compact, key-sorted, ASCII JSON: what a cache key hashes."""
+    values = {field.name: getattr(request, field.name) for field in fields(request)}
+    return json.dumps(values, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def cache_key(request: CompletionRequest) -> str:
@@ -555,8 +542,6 @@ class HTTPBackend:
             "n": request.n_samples,
             "max_tokens": request.max_tokens,
         }
-        if request.stop_sequences:
-            body["stop"] = list(request.stop_sequences)
         attempt = 0
         while True:
             try:
@@ -627,7 +612,7 @@ CACHE_OFF = "off"
 CACHE_RECORD = "record"
 CACHE_REPLAY = "replay"
 CACHE_MODES = (CACHE_OFF, CACHE_RECORD, CACHE_REPLAY)
-SEGMENT_DIR = "v2"  # the on-disk format's version; a new format takes a new name
+SEGMENT_DIR = "v3"  # the on-disk format's version; a new format takes a new name
 _ENTRY_HEAD = re.compile(rb'\{"digest":"([0-9a-f]{64})",')
 _SCAN_BYTES = 65536
 
@@ -635,20 +620,21 @@ _SCAN_BYTES = 65536
 class CachingBackend:
     """Content-addressed, append-only file cache around another backend.
 
-    Layout: ``<cache_dir>/v2/<pid>-<random hex>.jsonl`` segments. Each
+    Layout: ``<cache_dir>/v3/<pid>-<random hex>.jsonl`` segments. Each
     backend appends the entries it stores to a segment of its own,
     created on its first store, one line per request digest:
     ``{"digest":"<sha256>",`` then the completion list and the request
-    fields as compact JSON with sorted keys. At construction every
-    segment is read, a buffer at a time and in sorted name order, into an
-    in-memory index of digest to (file, offset, length); the first entry
-    for a digest wins, so lookups are deterministic, and a lookup is a
-    dict get plus one ``os.pread``. A line that is cut off or has a
-    malformed head is skipped, and the count is reported on stderr; a
-    line whose body is malformed is a :class:`ProtocolError` for the
-    request that reads it. ``record`` reads
-    through and stores misses; ``replay`` serves hits only and never
-    touches the inner backend, so replayed runs are fully offline.
+    bytes the digest hashes, as compact ASCII JSON with sorted keys. At
+    construction every segment is read, a buffer at a time and in sorted
+    name order, into an in-memory index of digest to (file, offset,
+    length); the first entry for a digest wins, so lookups are
+    deterministic, and a lookup is a dict get plus one ``os.pread``. A
+    line that is cut off or has a malformed head is skipped, and the
+    count is reported on stderr; a line whose body is malformed or holds
+    a non-ASCII byte is a :class:`ProtocolError` for the request that
+    reads it. ``record`` reads through and stores misses; ``replay``
+    serves hits only and never touches the inner backend, so replayed
+    runs are fully offline.
     Concurrent writers, in this process or others sharing the directory,
     append to different segments and need no lock between them; entries
     another backend stores after this one was built are not seen by it.
@@ -709,22 +695,25 @@ class CachingBackend:
         return SimpleNamespace(exists=lambda: self.contains(digest))
 
     def complete(self, request: CompletionRequest) -> list[Completion]:
-        digest = cache_key(request)
+        canonical = _canonical_request(request)
+        digest = hashlib.sha256(canonical).hexdigest()
         entry = self._index.get(digest)
         if entry is not None:
             fd, offset, length = entry
-            line = os.pread(fd, length, offset).decode("utf-8", "replace")
+            raw = os.pread(fd, length, offset)
             try:
+                line = raw.decode("ascii")  # as written; any other byte is damage
                 completions = json.loads(line)["completions"]
                 samples = [(c["text"], c["finish_reason"], c["usage"]) for c in completions]
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ProtocolError(f"malformed cache entry: {line[:200]}") from exc
+                quoted = raw[:200].decode("ascii", "replace")
+                raise ProtocolError(f"malformed cache entry: {quoted}") from exc
             return _decode(samples, request.n_samples, f"cache entry {line}")
         if self.mode == CACHE_REPLAY:
             raise ReplayMiss(f"no cached completion for digest {digest}")
         assert self.inner is not None
         completions = self.inner.complete(request)
-        self._store(digest, request, completions)
+        self._store(digest, canonical, completions)
         return completions
 
     def close(self) -> None:
@@ -736,13 +725,12 @@ class CachingBackend:
             os.close(fd)
         _close(self.inner)
 
-    def _store(
-        self, digest: str, request: CompletionRequest, completions: Sequence[Completion]
-    ) -> None:
+    def _store(self, digest: str, canonical: bytes, completions: Sequence[Completion]) -> None:
         samples = [asdict(c) for c in completions]
-        fields = {"completions": samples, "request": _request_fields(request)}
-        body = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        line = f'{{"digest":"{digest}",{body[1:]}\n'.encode("ascii")
+        body = json.dumps(samples, sort_keys=True, separators=(",", ":")).encode("ascii")
+        line = b'{"digest":"%s","completions":%s,"request":%s}\n' % (
+            digest.encode("ascii"), body, canonical
+        )
         with self._lock:
             if digest in self._index:  # stored meanwhile by a concurrent miss
                 return

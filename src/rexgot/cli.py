@@ -34,7 +34,7 @@ from .backend import (
     segment_paths,
 )
 from .dataset import FORMATS, corpus_stats, load_corpus
-from .evaluation import EvalReport, compare_report, evaluate, write_report_files
+from .evaluation import DuplicateReport, EvalReport, compare_report, evaluate, write_report_files
 from .model import JSON_TYPES, MCQInstance, Prediction, RexGotError, Strategy, check_json_types
 from .prompts import template_version
 from .reasoner import (
@@ -313,7 +313,12 @@ def cmd_compare(report_paths: Sequence[str], as_json: bool = False) -> int:
         except (OSError, TypeError, ValueError, RecursionError) as exc:
             print(f"cannot read report {path}: {exc}", file=sys.stderr)
             return 2
-    table = compare_report(reports)
+    try:
+        table = compare_report(reports)
+    except DuplicateReport as exc:
+        first, second = report_paths[exc.first], report_paths[exc.second]
+        print(f"cannot compare: {first} and {second} {exc.clash}", file=sys.stderr)
+        return 2
     if as_json:
         print(json.dumps(table.to_json_dict(), sort_keys=True, indent=2))
     else:

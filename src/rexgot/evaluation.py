@@ -42,6 +42,15 @@ class UnknownInstance(CoverageError):
         self.ids = tuple(sorted(ids))
 
 
+class DuplicateReport(RexGotError):
+    """Two reports score one strategy on one corpus, and a table has one cell for both."""
+
+    def __init__(self, first: int, second: int, strategy: str, corpus: str):
+        self.first, self.second = first, second  # indices into the reports compared
+        self.clash = f"both score {strategy} on corpus {corpus}"
+        super().__init__(f"reports #{first + 1} and #{second + 1} {self.clash}")
+
+
 def exact_match(pred: Iterable[int], gold: Iterable[int]) -> int:
     """1 iff the predicted option set equals the gold set exactly."""
     return 1 if frozenset(pred) == frozenset(gold) else 0
@@ -86,11 +95,22 @@ def macro_f1(pairs: Sequence[tuple[Iterable[int], Iterable[int], int]]) -> float
     return (positive + negative) / 2.0
 
 
+def _check_scores(scores: Mapping[str, float]) -> None:
+    for label, value in scores.items():
+        if not 0.0 <= value <= 1.0:  # also refuses NaN
+            raise ValueError(f"{label} out of range: {value}")
+
+
 @dataclass(frozen=True)
 class BucketScore:
     n: int
     macro_f1: float
     em: float
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"bucket size must be >= 1, got {self.n}")
+        _check_scores({"macro_f1": self.macro_f1, "em": self.em})
 
 
 @dataclass(frozen=True)
@@ -113,9 +133,11 @@ class EvalReport:
             raise ValueError(
                 f"bucket sizes sum to {total}, expected {self.n_instances}"
             )
-        for label, value in (("macro_f1", self.macro_f1), ("exact_match", self.exact_match)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{label} out of range: {value}")
+        if any(size < 1 for size in self.by_gold_count):
+            raise ValueError(f"gold counts must be >= 1, got {sorted(self.by_gold_count)}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        _check_scores({"macro_f1": self.macro_f1, "exact_match": self.exact_match})
 
     def to_json_dict(self) -> dict[str, Any]:
         by_gold_count = {str(k): asdict(b) for k, b in sorted(self.by_gold_count.items())}
@@ -236,21 +258,25 @@ class ComparisonTable:
 def compare_report(reports: Sequence[EvalReport]) -> ComparisonTable:
     """Build the strategy-by-corpus table; rows sorted by strategy name.
 
-    Output is independent of input order.
+    Output is independent of input order. Two reports of one strategy on
+    one corpus are a :class:`DuplicateReport`, since neither may hide the other.
     """
     if not reports:
         raise EmptyInput("compare_report needs at least one report")
     corpora = tuple(sorted({r.corpus_name for r in reports}))
-    by_cell: dict[tuple[str, str], EvalReport] = {}
-    for report in reports:
-        by_cell[(report.strategy, report.corpus_name)] = report
+    by_cell: dict[tuple[str, str], int] = {}  # the index of each cell's report
+    for i, report in enumerate(reports):
+        cell = (report.strategy, report.corpus_name)
+        first = by_cell.setdefault(cell, i)
+        if first != i:
+            raise DuplicateReport(first, i, *cell)
     strategies = sorted({r.strategy for r in reports})
     rows = []
     for strategy in strategies:
         cells = []
         for corpus in corpora:
-            report = by_cell.get((strategy, corpus))
-            cells.append(None if report is None else (report.macro_f1, report.exact_match))
+            i = by_cell.get((strategy, corpus))
+            cells.append(None if i is None else (reports[i].macro_f1, reports[i].exact_match))
         rows.append((strategy, tuple(cells)))
     return ComparisonTable(corpora=corpora, rows=tuple(rows))
 

@@ -187,8 +187,11 @@ class MCQInstance:
 def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     """Construct a validated :class:`MCQInstance` from a raw record.
 
-    An instance, valid since its construction, is returned as it is.
-    Raises a :class:`ValidationError` subtype naming the offending field.
+    An instance, valid since its construction, is returned as it is. In a
+    record, ``id``, ``question``, each option and each turn's ``speaker``
+    (when present) and ``text`` must be strings, and ``options`` a list;
+    nothing is converted. Raises a :class:`ValidationError` subtype
+    naming the offending field.
     """
     if isinstance(raw, MCQInstance):
         return raw
@@ -199,29 +202,43 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
         if not all(type(index) is int for index in indices):
             raise ValidationError(f"{key} must hold integers, got {raw[key]!r}", field_name=key)
     inference_type = raw.get("inference_type")
-    if inference_type is not None and not isinstance(inference_type, str):
+    _require_string(raw["id"], "id", "id")
+    _require_string(raw["question"], "question", "question")
+    if inference_type is not None:
+        _require_string(inference_type, "inference_type", "inference_type")
+    if not isinstance(raw["options"], list):
         raise ValidationError(
-            f"inference_type must be a string, got {inference_type!r}", field_name="inference_type"
+            f"options must be a list, got {raw['options']!r}", field_name="options"
         )
+    for option in raw["options"]:
+        _require_string(option, "each option", "options")
     dialogue = []
     for turn in raw["dialogue"]:
         if isinstance(turn, Utterance):
             dialogue.append(turn)
         elif isinstance(turn, dict):
-            dialogue.append(Utterance(speaker=str(turn.get("speaker", "")), text=str(turn["text"])))
+            speaker, text = turn.get("speaker", ""), turn["text"]
+            _require_string(speaker, "a turn's speaker", "dialogue")
+            _require_string(text, "a turn's text", "dialogue")
+            dialogue.append(Utterance(speaker=speaker, text=text))
         else:
             raise ValidationError(
                 f"dialogue turns must be objects, got {turn!r}", field_name="dialogue"
             )
     return MCQInstance(
-        id=str(raw["id"]),
+        id=raw["id"],
         dialogue=tuple(dialogue),
         target_index=raw["target_index"],
-        question=str(raw["question"]),
-        options=tuple(str(o) for o in raw["options"]),
+        question=raw["question"],
+        options=tuple(raw["options"]),
         gold=frozenset(raw["answers"]),
         inference_type=inference_type,
     )
+
+
+def _require_string(value: Any, what: str, field_name: str) -> None:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}", field_name=field_name)
 
 
 class MissingStageInput(RexGotError):

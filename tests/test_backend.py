@@ -6,10 +6,12 @@ import re
 import stat
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
 
 from rexgot.backend import (
+    SEGMENT_DIR,
     AuthError,
     CachingBackend,
     Completion,
@@ -48,13 +50,11 @@ def test_cache_key_deterministic():
 
 
 def test_cache_key_sensitive_to_every_field():
+    changed = dict(prompt="other", n_samples=2, temperature=0.5, max_tokens=65, model_name="m2")
+    assert sorted(changed) == sorted(field.name for field in fields(CompletionRequest))
     base = cache_key(request())
-    assert cache_key(request(prompt="other")) != base
-    assert cache_key(request(n_samples=2)) != base
-    assert cache_key(request(temperature=0.5)) != base
-    assert cache_key(request(max_tokens=65)) != base
-    assert cache_key(request(model_name="m2")) != base
-    assert cache_key(request(stop_sequences=("\n",))) != base
+    for name, value in changed.items():
+        assert cache_key(request(**{name: value})) != base, name
 
 
 def test_cache_key_canonical_bytes_pinned():
@@ -62,16 +62,14 @@ def test_cache_key_canonical_bytes_pinned():
     # drift across platforms or releases: replay caches depend on it.
     req = CompletionRequest(
         prompt="pinned prompt", n_samples=2, temperature=0.5,
-        max_tokens=32, model_name="pinned-model", stop_sequences=("##",),
+        max_tokens=32, model_name="pinned-model",
     )
-    from rexgot.backend import _canonical_request
-
     assert _canonical_request(req) == (
         b'{"max_tokens":32,"model_name":"pinned-model","n_samples":2,'
-        b'"prompt":"pinned prompt","stop_sequences":["##"],"temperature":0.5}'
+        b'"prompt":"pinned prompt","temperature":0.5}'
     )
     assert cache_key(req) == (
-        "3e4a663309a0156b99630e826d3f5399890d8aa8d6cf582c0c1a866891543d40"
+        "e276e1261e5b18c7bd3093107ecf581c06515ece9a472448c8fa76e09dcca04a"
     )
 
 
@@ -313,7 +311,7 @@ class CountingBackend:
 
 
 def segments(cache_dir):
-    return sorted((cache_dir / "v2").glob("*.jsonl"))
+    return sorted((cache_dir / SEGMENT_DIR).glob("*.jsonl"))
 
 
 def segment_lines(cache_dir):
@@ -352,7 +350,8 @@ def test_cache_layout_is_one_segment_per_backend(tmp_path):
     recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
     for req in first:
         recorder.complete(req)
-    assert list(cache_dir.iterdir()) == [cache_dir / "v2"]
+    # The one place the layout's version is spelled out: a new key or line format bumps it.
+    assert list(cache_dir.iterdir()) == [cache_dir / "v3"]
     [segment] = segments(cache_dir)
     assert re.fullmatch(rf"{os.getpid()}-[0-9a-f]{{16}}\.jsonl", segment.name)
     heads = [line[:77] for line in segment.read_bytes().splitlines(True)]
@@ -436,7 +435,7 @@ def test_purge_cache(tmp_path):
     # The same entry in a second segment is one cached completion, not two.
     assert len(segments(cache_dir)) == 2
     assert purge_cache(cache_dir) == 2
-    assert not (cache_dir / "v2").exists()
+    assert not (cache_dir / SEGMENT_DIR).exists()
     assert purge_cache(cache_dir) == 0
     with pytest.raises(ReplayMiss):
         CachingBackend(None, cache_dir, mode="replay").complete(request(prompt="a"))
@@ -522,7 +521,7 @@ def test_store_into_missing_version_dir_creates_it(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
-    assert (cache_dir / "v2").is_dir()
+    assert (cache_dir / SEGMENT_DIR).is_dir()
     assert len(segments(cache_dir)) == 1
     # A cache directory that does not exist yet is created too.
     missing = tmp_path / "new" / "cache"

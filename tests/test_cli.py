@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import threading
 import time
@@ -15,7 +16,7 @@ from conftest import (
     write_scripts_file,
 )
 import rexgot.cli as cli
-from rexgot.backend import Completion
+from rexgot.backend import SEGMENT_DIR, Completion
 from rexgot.cli import RunConfig, main
 from rexgot.dataset import Corpus, save_corpus
 from rexgot.evaluation import evaluate
@@ -98,7 +99,7 @@ def test_replay_of_a_cache_without_segments_is_config_error(tmp_path, bob_movie_
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "holds no v2 segments" in err and "re-recorded" in err
+    assert f"holds no {SEGMENT_DIR} segments" in err and "re-recorded" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -113,7 +114,7 @@ def test_record_run_of_cache_hits_creates_no_segment(tmp_path, bob_movie_setup):
             )
         )
         assert code == 0
-        assert len(list((cache_dir / "v2").iterdir())) == 1
+        assert len(list((cache_dir / SEGMENT_DIR).iterdir())) == 1
     assert (tmp_path / "first" / "predictions.jsonl").read_bytes() == (
         tmp_path / "second" / "predictions.jsonl"
     ).read_bytes()
@@ -474,11 +475,15 @@ def _record_three_instances(tmp_path):
             lambda line: line.replace(b'"usage":null', b'"usage":' + DEEP_NESTING.encode()),
             "malformed cache entry", id="deep_nesting",
         ),
+        pytest.param(
+            lambda line: line.replace(b'"text":"Answer: A"', b'"text":"Answer: A\xff"'),
+            "malformed cache entry", id="non_ascii_byte",
+        ),
     ],
 )
 def test_malformed_cache_body_fails_only_its_instance(tmp_path, capsys, edit, cause):
     corpus_path, cache_dir = _record_three_instances(tmp_path)
-    [segment] = (cache_dir / "v2").iterdir()
+    [segment] = (cache_dir / SEGMENT_DIR).iterdir()
     lines = segment.read_bytes().splitlines(True)
     [index] = [i for i, line in enumerate(lines) if b"q2 text 0" in line]
     lines[index] = edit(lines[index])
@@ -722,6 +727,25 @@ GOOD_REPORT = {
         pytest.param({"exact_match": True}, id="bool_score"),
         pytest.param({"config_fingerprint": None}, id="null_fingerprint"),
         pytest.param({"corpus_name": None}, id="null_corpus"),
+        pytest.param({"repeats": 0}, id="no_repeats"),
+        pytest.param({"by_gold_count": {"0": GOOD_REPORT["by_gold_count"]["1"]}},
+                     id="gold_count_0"),
+        pytest.param({"by_gold_count": {"1": {"n": 1, "macro_f1": math.nan, "em": 1.0}}},
+                     id="nan_bucket_f1"),
+        pytest.param({"by_gold_count": {"1": {"n": 1, "macro_f1": 1.0, "em": -5.0}}},
+                     id="negative_em"),
+        pytest.param({"by_gold_count": {"1": {"n": 1, "macro_f1": 1.5, "em": 1.0}}},
+                     id="f1_above_1"),
+        pytest.param(
+            {"by_gold_count": {"1": {"n": 3, "macro_f1": 1.0, "em": 1.0},
+                               "2": {"n": -2, "macro_f1": 1.0, "em": 1.0}}},
+            id="negative_bucket_offset",
+        ),
+        pytest.param(
+            {"by_gold_count": {"1": {"n": 1, "macro_f1": 1.0, "em": 1.0},
+                               "2": {"n": 0, "macro_f1": 1.0, "em": 1.0}}},
+            id="empty_bucket",
+        ),
     ],
 )
 def test_compare_malformed_report_is_refused(tmp_path, capsys, edit):
@@ -729,6 +753,23 @@ def test_compare_malformed_report_is_refused(tmp_path, capsys, edit):
     path.write_text(json.dumps({**GOOD_REPORT, **edit}))
     assert main(["compare", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"cannot read report {path}: ")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["0.51_first", "0.55_first"])
+def test_compare_refuses_two_reports_of_one_strategy_on_one_corpus(tmp_path, capsys, order):
+    paths = []
+    for name, f1 in (("a", 0.51), ("b", 0.55)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            **GOOD_REPORT, "strategy": "rex_got", "corpus_name": "dev", "macro_f1": f1,
+            "by_gold_count": {"1": {"n": 1, "macro_f1": f1, "em": 1.0}},
+        }))
+        paths.append(str(path))
+    first, second = (paths[i] for i in order)
+    assert main(["compare", first, second]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot compare: {first} and {second} both score rex_got on corpus dev\n"
 
 
 def test_stats_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -127,6 +128,30 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             VALID_LINE.replace(b"What might", b"What\\udcff might"), ValidationFailed,
             "instance 'c1': question holds a lone surrogate", id="lone_surrogate",
         ),
+        pytest.param(
+            VALID_LINE.replace(b'"c1"', b"5"), ValidationFailed,
+            "id must be a string, got 5", id="id_not_a_string",
+        ),
+        pytest.param(
+            VALID_LINE.replace(b'"What might happen next?"', b"null"), ValidationFailed,
+            "question must be a string, got None", id="question_null",
+        ),
+        pytest.param(
+            VALID_LINE.replace(b'"outcome 1"', b"1"), ValidationFailed,
+            "each option must be a string, got 1", id="option_not_a_string",
+        ),
+        pytest.param(
+            re.sub(rb'"options": \[[^]]*\]', b'"options": "AB"', VALID_LINE), ValidationFailed,
+            "options must be a list, got 'AB'", id="options_a_string",
+        ),
+        pytest.param(
+            VALID_LINE.replace(FIRST_TURN, b'{"speaker": null, "text": "hello there"}'),
+            ValidationFailed, "a turn's speaker must be a string, got None", id="speaker_null",
+        ),
+        pytest.param(
+            VALID_LINE.replace(FIRST_TURN, b'{"speaker": "A", "text": 7}'), ValidationFailed,
+            "a turn's text must be a string, got 7", id="text_not_a_string",
+        ),
     ],
 )
 def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
@@ -189,6 +214,10 @@ def test_mutated_line_loads_or_fails_naming_its_line(tmp_path, line):
         corpus_stats(corpus).to_json_dict()
         for instance in corpus.instances:
             assert "/" not in instance.id and instance.id not in (".", "..")
+            texts = [instance.id, instance.question, instance.inference_type or ""]
+            texts += instance.options
+            texts += [s for turn in instance.dialogue for s in (turn.speaker, turn.text)]
+            assert all(isinstance(text, str) for text in texts)
             for kind in PromptKind:
                 render_prompt(instance, kind, a1="a1", a2={0: "a2"}, option_index=0).encode()
 

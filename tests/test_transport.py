@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 
 import rexgot
-from rexgot.backend import CompletionRequest, HTTPBackend, RateLimited, TransportError
+from rexgot.backend import (
+    SEGMENT_DIR,
+    CompletionRequest,
+    HTTPBackend,
+    RateLimited,
+    TransportError,
+)
 from rexgot.cli import main
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -334,7 +340,7 @@ def test_reply_with_malformed_usage_fails_only_its_instance_under_record(
     names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
              "traces/q1.json", "traces/q2.json", "traces/q3.json"]
     assert all((out / name).is_file() for name in names)
-    [segment] = (cache_dir / "v2").iterdir()
+    [segment] = (cache_dir / SEGMENT_DIR).iterdir()
     assert segment.read_bytes().count(b"\n") == 2  # the malformed reply is not stored
 
 
