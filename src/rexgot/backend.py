@@ -210,7 +210,8 @@ class KeepAliveTransport:
     message, and the response is read straight off the socket: its body
     is delimited by ``Content-Length``, by chunked transfer coding, or by
     the server closing the connection, which is then not reused; a body
-    cut short is a :class:`TransportError`, never a shorter text. A socket
+    cut short is a :class:`TransportError`, never a shorter text, and a
+    200 reply's body that is not UTF-8 is a :class:`ProtocolError`. A socket
     goes back to the idle pool only after an HTTP/1.1 response without
     ``Connection: close``. ``socket`` is imported on the first connection
     and ``ssl`` on the first HTTPS one, which keeps them out of start-up
@@ -276,7 +277,12 @@ class KeepAliveTransport:
                 self._idle.append(conn)
         else:
             conn.close()
-        return status, response_headers, raw.decode("utf-8", "replace")
+        try:
+            return status, response_headers, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if status == 200:  # a reply's text would pass on with the damage replaced
+                raise ProtocolError(f"POST {self._url}: reply body is not UTF-8: {exc}") from None
+            return status, response_headers, raw.decode("utf-8", "replace")  # quoted in an error
 
     def _connect(self):
         import socket
@@ -608,10 +614,6 @@ def _decode(samples: list[tuple[Any, Any, Any]], n_samples: int, source: str) ->
     return [Completion(*sample) for sample in samples]
 
 
-CACHE_OFF = "off"
-CACHE_RECORD = "record"
-CACHE_REPLAY = "replay"
-CACHE_MODES = (CACHE_OFF, CACHE_RECORD, CACHE_REPLAY)
 SEGMENT_DIR = "v3"  # the on-disk format's version; a new format takes a new name
 _ENTRY_HEAD = re.compile(rb'\{"digest":"([0-9a-f]{64})",')
 _SCAN_BYTES = 65536
@@ -632,29 +634,37 @@ class CachingBackend:
     line that is cut off or has a malformed head is skipped, and the
     count is reported on stderr; a line whose body is malformed or holds
     a non-ASCII byte is a :class:`ProtocolError` for the request that
-    reads it. ``record`` reads through and stores misses; ``replay``
-    serves hits only and never touches the inner backend, so replayed
-    runs are fully offline.
+    reads it. With an ``inner`` backend it records: it reads through and
+    stores misses. With ``inner=None`` it replays: it serves hits only
+    and a miss is a :class:`ReplayMiss`, so replayed runs are fully
+    offline; a replay of a directory that is missing or holds no segments
+    is refused at construction with a :class:`ValueError`.
     Concurrent writers, in this process or others sharing the directory,
     append to different segments and need no lock between them; entries
     another backend stores after this one was built are not seen by it.
     """
 
-    def __init__(self, inner: Backend | None, cache_dir: str | Path, mode: str = CACHE_RECORD):
-        if mode not in (CACHE_RECORD, CACHE_REPLAY):
-            raise ValueError(f"cache mode must be record or replay, got {mode!r}")
-        if mode == CACHE_RECORD and inner is None:
-            raise ValueError("record mode needs an inner backend")
+    def __init__(self, inner: Backend | None, cache_dir: str | Path):
+        paths = segment_paths(cache_dir)
+        if inner is None and not paths:
+            if not Path(cache_dir).is_dir():
+                raise ValueError(
+                    f"replay mode requires an existing cache directory, "
+                    f"{str(cache_dir)!r} is missing"
+                )
+            raise ValueError(
+                f"cache directory {str(cache_dir)!r} holds no {SEGMENT_DIR} segments; "
+                f"a cache recorded in an older layout must be re-recorded"
+            )
         self.inner = inner
         self.cache_dir = Path(cache_dir)
-        self.mode = mode
         self._lock = threading.Lock()  # guards appends to the index and the own segment
         self._index: dict[str, tuple[int, int, int]] = {}  # digest -> (fd, offset, length)
         self._fds: list[int] = []
         self._segment: int | None = None  # fd of the own segment, opened on the first store
         self._segment_end = 0
         try:
-            for path in segment_paths(self.cache_dir):
+            for path in paths:
                 self._index_segment(path)
         except BaseException:
             self.close()
@@ -709,9 +719,8 @@ class CachingBackend:
                 quoted = raw[:200].decode("ascii", "replace")
                 raise ProtocolError(f"malformed cache entry: {quoted}") from exc
             return _decode(samples, request.n_samples, f"cache entry {line}")
-        if self.mode == CACHE_REPLAY:
+        if self.inner is None:
             raise ReplayMiss(f"no cached completion for digest {digest}")
-        assert self.inner is not None
         completions = self.inner.complete(request)
         self._store(digest, canonical, completions)
         return completions
@@ -751,12 +760,9 @@ class CachingBackend:
 
     def _open_segment(self) -> int:
         path = self.cache_dir / SEGMENT_DIR / f"{os.getpid()}-{os.urandom(8).hex()}.jsonl"
+        os.makedirs(path.parent, exist_ok=True)
         flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL
-        try:
-            return os.open(path, flags, 0o666)  # the umask applies, unlike mkstemp's 0600
-        except FileNotFoundError:
-            os.makedirs(path.parent, exist_ok=True)
-            return os.open(path, flags, 0o666)
+        return os.open(path, flags, 0o666)  # the umask applies, unlike mkstemp's 0600
 
 
 def segment_paths(cache_dir: str | Path) -> list[Path]:

@@ -19,11 +19,6 @@ from pathlib import Path
 from typing import Any, Sequence, TypeVar
 
 from .backend import (
-    CACHE_MODES,
-    CACHE_OFF,
-    CACHE_RECORD,
-    CACHE_REPLAY,
-    SEGMENT_DIR,
     Backend,
     BackendError,
     CachingBackend,
@@ -31,7 +26,6 @@ from .backend import (
     ScriptedBackend,
     _close,
     purge_cache,
-    segment_paths,
 )
 from .dataset import FORMATS, corpus_stats, load_corpus
 from .evaluation import DuplicateReport, EvalReport, compare_report, evaluate, write_report_files
@@ -49,6 +43,10 @@ from .reasoner import (
 )
 
 BACKEND_KINDS = ("http", "scripted")
+CACHE_OFF = "off"
+CACHE_RECORD = "record"
+CACHE_REPLAY = "replay"
+CACHE_MODES = (CACHE_OFF, CACHE_RECORD, CACHE_REPLAY)
 # The allowed values of each RunConfig setting that has a fixed set of them.
 _CHOICES = {
     "format": FORMATS,
@@ -128,17 +126,6 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.repeat < 1:
             raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
-        if self.cache_mode == CACHE_REPLAY:
-            if not Path(self.cache_dir).is_dir():
-                raise ConfigError(
-                    f"replay mode requires an existing cache directory, "
-                    f"{self.cache_dir!r} is missing"
-                )
-            if not segment_paths(self.cache_dir):
-                raise ConfigError(
-                    f"cache directory {self.cache_dir!r} holds no {SEGMENT_DIR} segments; "
-                    f"a cache recorded in an older layout must be re-recorded"
-                )
         if self.cache_mode != CACHE_REPLAY:
             if self.backend == "http" and not self.endpoint:
                 raise ConfigError("http backend requires --endpoint")
@@ -158,10 +145,14 @@ class RunConfig:
 def build_backend(config: RunConfig) -> Backend:
     """The configured backend, behind the record/replay cache when one is on.
 
-    An endpoint or credential the HTTP client cannot use is a :class:`ConfigError`.
+    An endpoint or credential the HTTP client cannot use, and a replay cache
+    directory that is missing or holds no segments, are a :class:`ConfigError`.
     """
     if config.cache_mode == CACHE_REPLAY:
-        return CachingBackend(None, config.cache_dir, mode=CACHE_REPLAY)
+        try:
+            return CachingBackend(None, config.cache_dir)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if config.backend == "scripted":
         backend: Backend = _load_scripted(config.scripts)
     else:
@@ -170,7 +161,7 @@ def build_backend(config: RunConfig) -> Backend:
         except ValueError as exc:
             raise ConfigError(f"http backend: {exc}") from exc
     if config.cache_mode == CACHE_RECORD:
-        backend = CachingBackend(backend, config.cache_dir, mode=CACHE_RECORD)
+        backend = CachingBackend(backend, config.cache_dir)
     return backend
 
 

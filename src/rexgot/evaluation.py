@@ -128,6 +128,8 @@ class EvalReport:
 
     def __post_init__(self):
         object.__setattr__(self, "by_gold_count", dict(self.by_gold_count))
+        if self.n_instances < 1:
+            raise ValueError(f"n_instances must be >= 1, got {self.n_instances}")
         total = sum(bucket.n for bucket in self.by_gold_count.values())
         if total != self.n_instances:
             raise ValueError(

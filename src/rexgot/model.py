@@ -189,15 +189,18 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
 
     An instance, valid since its construction, is returned as it is. In a
     record, ``id``, ``question``, each option and each turn's ``speaker``
-    (when present) and ``text`` must be strings, and ``options`` a list;
-    nothing is converted. Raises a :class:`ValidationError` subtype
-    naming the offending field.
+    (when present) and ``text`` must be strings, and ``options`` and
+    ``answers`` lists; nothing is converted. Raises a
+    :class:`ValidationError` subtype naming the offending field.
     """
     if isinstance(raw, MCQInstance):
         return raw
     for key in ("id", "dialogue", "target_index", "question", "options", "answers"):
         if key not in raw:
             raise ValidationError(f"record is missing field {key!r}", field_name=key)
+    for key in ("options", "answers"):
+        if not isinstance(raw[key], list):
+            raise ValidationError(f"{key} must be a list, got {raw[key]!r}", field_name=key)
     for key, indices in (("target_index", [raw["target_index"]]), ("answers", raw["answers"])):
         if not all(type(index) is int for index in indices):
             raise ValidationError(f"{key} must hold integers, got {raw[key]!r}", field_name=key)
@@ -206,10 +209,6 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     _require_string(raw["question"], "question", "question")
     if inference_type is not None:
         _require_string(inference_type, "inference_type", "inference_type")
-    if not isinstance(raw["options"], list):
-        raise ValidationError(
-            f"options must be a list, got {raw['options']!r}", field_name="options"
-        )
     for option in raw["options"]:
         _require_string(option, "each option", "options")
     dialogue = []

@@ -320,34 +320,55 @@ def segment_lines(cache_dir):
 
 def test_record_then_replay_hits_cache(tmp_path):
     inner = CountingBackend()
-    recorder = CachingBackend(inner, tmp_path / "cache", mode="record")
+    recorder = CachingBackend(inner, tmp_path / "cache")
     req = request(prompt="cache me")
     first = recorder.complete(req)
     second = recorder.complete(req)
     assert inner.calls == 1
     assert first == second
 
-    replayer = CachingBackend(None, tmp_path / "cache", mode="replay")
+    replayer = CachingBackend(None, tmp_path / "cache")
     assert replayer.complete(req) == first
 
 
 def test_replay_never_touches_inner(tmp_path):
     inner = CountingBackend()
-    CachingBackend(inner, tmp_path / "cache", mode="record").complete(request(prompt="x"))
+    recorded = CachingBackend(inner, tmp_path / "cache").complete(request(prompt="x"))
     assert inner.calls == 1
 
-    counting = CountingBackend()
-    replayer = CachingBackend(counting, tmp_path / "cache", mode="replay")
-    replayer.complete(request(prompt="x"))
+    replayer = CachingBackend(None, tmp_path / "cache")
+    assert replayer.complete(request(prompt="x")) == recorded
     with pytest.raises(ReplayMiss):
         replayer.complete(request(prompt="never recorded"))
-    assert counting.calls == 0
+
+
+def test_replay_of_a_missing_directory_is_refused_at_construction(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    message = f"replay mode requires an existing cache directory, {str(missing)!r} is missing"
+    with pytest.raises(ValueError) as caught:
+        CachingBackend(None, missing)
+    assert str(caught.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replay_of_a_directory_without_segments_is_refused_at_construction(tmp_path):
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "ab").mkdir(parents=True)  # the old one-file-per-entry layout
+    (cache_dir / SEGMENT_DIR).mkdir()
+    message = (
+        f"cache directory {str(cache_dir)!r} holds no {SEGMENT_DIR} segments; "
+        f"a cache recorded in an older layout must be re-recorded"
+    )
+    with pytest.raises(ValueError) as caught:
+        CachingBackend(None, str(cache_dir))
+    assert str(caught.value) == message
+    assert sorted(cache_dir.rglob("*")) == [cache_dir / "ab", cache_dir / SEGMENT_DIR]
 
 
 def test_cache_layout_is_one_segment_per_backend(tmp_path):
     cache_dir = tmp_path / "cache"
     first = [request(), request(prompt="other")]
-    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    recorder = CachingBackend(CountingBackend(), cache_dir)
     for req in first:
         recorder.complete(req)
     # The one place the layout's version is spelled out: a new key or line format bumps it.
@@ -357,7 +378,7 @@ def test_cache_layout_is_one_segment_per_backend(tmp_path):
     heads = [line[:77] for line in segment.read_bytes().splitlines(True)]
     assert heads == [f'{{"digest":"{cache_key(req)}",'.encode() for req in first]
 
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request(prompt="third"))
+    CachingBackend(CountingBackend(), cache_dir).complete(request(prompt="third"))
     assert len(segments(cache_dir)) == 2
     assert segment.read_bytes().count(b"\n") == 2
 
@@ -365,7 +386,7 @@ def test_cache_layout_is_one_segment_per_backend(tmp_path):
 def test_cache_files_are_diffable_json(tmp_path):
     cache_dir = tmp_path / "cache"
     requests = [request(), request(prompt="line\nbreak \u2028 \u00e9", n_samples=2)]
-    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    recorder = CachingBackend(CountingBackend(), cache_dir)
     for req in requests:
         recorder.complete(req)
     lines = segment_lines(cache_dir)
@@ -392,24 +413,24 @@ def test_finish_reason_survives_record_and_replay(tmp_path, finish_reason):
              "usage": usage}
     inner, _ = make_http([(200, {}, json.dumps(reply))], [])
     cache_dir = tmp_path / "cache"
-    recorded = CachingBackend(inner, cache_dir, mode="record").complete(request())
+    recorded = CachingBackend(inner, cache_dir).complete(request())
     assert recorded == [Completion(text="ok", finish_reason=finish_reason, usage=usage)]
     [line] = segment_lines(cache_dir)
     assert f'"finish_reason":{json.dumps(finish_reason)},'.encode() in line
-    assert CachingBackend(None, cache_dir, mode="replay").complete(request()) == recorded
+    assert CachingBackend(None, cache_dir).complete(request()) == recorded
 
 
 def test_unknown_finish_reason_in_a_cache_line_is_kept(tmp_path):
     cache_dir = tmp_path / "cache"
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    CachingBackend(CountingBackend(), cache_dir).complete(request())
     [segment] = segments(cache_dir)
     segment.write_bytes(segment.read_bytes().replace(b'"stop"', b'"weird"'))
-    [completion] = CachingBackend(None, cache_dir, mode="replay").complete(request())
+    [completion] = CachingBackend(None, cache_dir).complete(request())
     assert completion.finish_reason == "weird"
 
 
 def test_concurrent_complete_calls(tmp_path):
-    backend = CachingBackend(CountingBackend(), tmp_path / "cache", mode="record")
+    backend = CachingBackend(CountingBackend(), tmp_path / "cache")
     errors = []
 
     def worker(i):
@@ -428,7 +449,7 @@ def test_concurrent_complete_calls(tmp_path):
 
 def test_purge_cache(tmp_path):
     cache_dir = tmp_path / "cache"
-    recorders = [CachingBackend(CountingBackend(), cache_dir, mode="record") for _ in range(2)]
+    recorders = [CachingBackend(CountingBackend(), cache_dir) for _ in range(2)]
     for recorder in recorders:
         recorder.complete(request(prompt="a"))
     recorders[0].complete(request(prompt="b"))
@@ -437,8 +458,9 @@ def test_purge_cache(tmp_path):
     assert purge_cache(cache_dir) == 2
     assert not (cache_dir / SEGMENT_DIR).exists()
     assert purge_cache(cache_dir) == 0
+    CachingBackend(CountingBackend(), cache_dir).complete(request(prompt="c"))
     with pytest.raises(ReplayMiss):
-        CachingBackend(None, cache_dir, mode="replay").complete(request(prompt="a"))
+        CachingBackend(None, cache_dir).complete(request(prompt="a"))
 
 
 class ThreadNameBackend:
@@ -450,7 +472,7 @@ class ThreadNameBackend:
 
 def test_cache_writers_sharing_a_directory_need_no_lock(tmp_path):
     cache_dir = tmp_path / "cache"
-    backends = [CachingBackend(ThreadNameBackend(), cache_dir, mode="record") for _ in range(2)]
+    backends = [CachingBackend(ThreadNameBackend(), cache_dir) for _ in range(2)]
     requests = [request(prompt=f"p{n}") for n in range(20)]
     start = threading.Barrier(16)
     errors = []
@@ -485,7 +507,7 @@ def test_cache_writers_sharing_a_directory_need_no_lock(tmp_path):
         assert sorted(entry["digest"] for entry in entries) == digests
     assert len(segments(cache_dir)) == 2
     writers = {f"w{i}" for i in range(16)}
-    replayer = CachingBackend(None, cache_dir, mode="replay")
+    replayer = CachingBackend(None, cache_dir)
     first = {entry["digest"]: entry for entry in map(json.loads, segment_lines(cache_dir)[:20])}
     for req in requests:
         [served] = replayer.complete(req)
@@ -502,7 +524,7 @@ def test_concurrent_misses_of_one_request_store_one_entry(tmp_path):
             both_asked.wait()
             return [Completion(text=threading.current_thread().name)]
 
-    backend = CachingBackend(RendezvousBackend(), tmp_path / "cache", mode="record")
+    backend = CachingBackend(RendezvousBackend(), tmp_path / "cache")
     req = request(temperature=0.7)
     threads = [
         threading.Thread(target=backend.complete, args=(req,), name=f"t{i}") for i in range(2)
@@ -520,19 +542,19 @@ def test_concurrent_misses_of_one_request_store_one_entry(tmp_path):
 def test_store_into_missing_version_dir_creates_it(tmp_path):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    CachingBackend(CountingBackend(), cache_dir).complete(request())
     assert (cache_dir / SEGMENT_DIR).is_dir()
     assert len(segments(cache_dir)) == 1
     # A cache directory that does not exist yet is created too.
     missing = tmp_path / "new" / "cache"
-    CachingBackend(CountingBackend(), missing, mode="record").complete(request())
+    CachingBackend(CountingBackend(), missing).complete(request())
     assert len(segments(missing)) == 1
 
 
 def test_cache_entry_mode_follows_umask(tmp_path):
     old = os.umask(0o027)
     try:
-        CachingBackend(CountingBackend(), tmp_path / "cache", mode="record").complete(request())
+        CachingBackend(CountingBackend(), tmp_path / "cache").complete(request())
     finally:
         os.umask(old)
     [segment] = segments(tmp_path / "cache")
@@ -541,7 +563,7 @@ def test_cache_entry_mode_follows_umask(tmp_path):
 
 def test_store_leaves_no_temp_file_on_success_or_failure(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
-    backend = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    backend = CachingBackend(CountingBackend(), cache_dir)
     backend.complete(request(prompt="kept"))
     [segment] = segments(cache_dir)
     kept_bytes = segment.read_bytes()
@@ -562,7 +584,7 @@ def test_store_leaves_no_temp_file_on_success_or_failure(tmp_path, monkeypatch):
     backend.complete(request(prompt="after"))
     assert list(cache_dir.rglob("*.tmp")) == []
     assert segments(cache_dir) == [segment]
-    replayer = CachingBackend(None, cache_dir, mode="replay")
+    replayer = CachingBackend(None, cache_dir)
     assert all(replayer.contains(cache_key(request(prompt=p))) for p in ("kept", "after"))
     assert not replayer.contains(cache_key(request(prompt="lost")))
 
@@ -570,13 +592,13 @@ def test_store_leaves_no_temp_file_on_success_or_failure(tmp_path, monkeypatch):
 def test_contains_probes_hits_without_a_lookup(tmp_path):
     cache_dir = tmp_path / "cache"
     inner = CountingBackend()
-    recorder = CachingBackend(inner, cache_dir, mode="record")
+    recorder = CachingBackend(inner, cache_dir)
     digest = cache_key(request())
     assert not recorder.contains(digest)
     recorder.complete(request())
     assert recorder.contains(digest)
     assert not recorder.contains(cache_key(request(prompt="never recorded")))
-    replayer = CachingBackend(None, cache_dir, mode="replay")
+    replayer = CachingBackend(None, cache_dir)
     assert replayer.contains(digest)
     assert inner.calls == 1
 
@@ -590,10 +612,10 @@ def test_entries_longer_than_a_read_buffer_replay_whole(tmp_path):
     cache_dir = tmp_path / "cache"
     # Lines from a few bytes to well over the scan's 64 KiB reads, so they cross its buffers.
     prompts = [f"{i}:" + "ab\u00e9\n" * size for i, size in enumerate((1, 9000, 40000, 5, 7000))]
-    recorder = CachingBackend(EchoBackend(), cache_dir, mode="record")
+    recorder = CachingBackend(EchoBackend(), cache_dir)
     for prompt in prompts:
         recorder.complete(request(prompt=prompt))
-    replayer = CachingBackend(None, cache_dir, mode="replay")
+    replayer = CachingBackend(None, cache_dir)
     for prompt in prompts:
         assert replayer.complete(request(prompt=prompt)) == [Completion(text=prompt[::-1])]
     assert purge_cache(cache_dir) == len(prompts)
@@ -601,13 +623,13 @@ def test_entries_longer_than_a_read_buffer_replay_whole(tmp_path):
 
 def test_torn_final_line_is_skipped_and_never_served(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    recorder = CachingBackend(CountingBackend(), cache_dir, mode="record")
+    recorder = CachingBackend(CountingBackend(), cache_dir)
     for prompt in ("kept", "torn"):
         recorder.complete(request(prompt=prompt))
     [segment] = segments(cache_dir)
     kept_line, torn_line = segment.read_bytes().splitlines(True)
     segment.write_bytes(kept_line + torn_line[:-2])  # cut off before "}\n"
-    replayer = CachingBackend(None, cache_dir, mode="replay")
+    replayer = CachingBackend(None, cache_dir)
     assert f"{segment.name}: skipped 1 " in capsys.readouterr().err
     assert replayer.complete(request(prompt="kept")) == [Completion(text="inner response")]
     assert not replayer.contains(cache_key(request(prompt="torn")))
@@ -615,21 +637,21 @@ def test_torn_final_line_is_skipped_and_never_served(tmp_path, capsys):
         replayer.complete(request(prompt="torn"))
     # A recorder stores the entry again, in a new segment, not after the cut-off line.
     inner = CountingBackend("again")
-    CachingBackend(inner, cache_dir, mode="record").complete(request(prompt="torn"))
+    CachingBackend(inner, cache_dir).complete(request(prompt="torn"))
     assert inner.calls == 1
     assert segment.read_bytes() == kept_line + torn_line[:-2]
-    again = CachingBackend(None, cache_dir, mode="replay").complete(request(prompt="torn"))
+    again = CachingBackend(None, cache_dir).complete(request(prompt="torn"))
     assert again == [Completion(text="again")]
 
 
 def test_foreign_lines_are_skipped_and_counted(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    CachingBackend(CountingBackend(), cache_dir).complete(request())
     [segment] = segments(cache_dir)
     [line] = segment.read_bytes().splitlines(True)
     foreign = [b"\n", b'{"digest":"not hex"}\n', line.upper(), b"garbage\n"]
     segment.write_bytes(b"".join(foreign[:2] + [line] + foreign[2:]))
-    replayer = CachingBackend(None, cache_dir, mode="replay")
+    replayer = CachingBackend(None, cache_dir)
     assert f"cache segment {segment.name}: skipped 4 " in capsys.readouterr().err
     assert replayer.complete(request()) == [Completion(text="inner response")]
 
@@ -637,7 +659,7 @@ def test_foreign_lines_are_skipped_and_counted(tmp_path, capsys):
 def test_replay_picks_the_same_entry_when_segments_disagree(tmp_path):
     cache_dir = tmp_path / "cache"
     recorders = {
-        text: CachingBackend(CountingBackend(text), cache_dir, mode="record")
+        text: CachingBackend(CountingBackend(text), cache_dir)
         for text in ("first", "second")
     }
     for recorder in recorders.values():
@@ -646,27 +668,29 @@ def test_replay_picks_the_same_entry_when_segments_disagree(tmp_path):
     [segment] = [p for p in segments(cache_dir) if b'"second"' in p.read_bytes()]
     segment.rename(segment.with_name(f"0-{segment.name}"))
     for _ in range(3):
-        replayer = CachingBackend(None, cache_dir, mode="replay")
+        replayer = CachingBackend(None, cache_dir)
         assert replayer.complete(request()) == [Completion(text="second")]
         replayer.close()
 
 
 def test_record_of_cache_hits_creates_no_segment(tmp_path):
     cache_dir = tmp_path / "cache"
-    CachingBackend(CountingBackend(), cache_dir, mode="record").complete(request())
+    CachingBackend(CountingBackend(), cache_dir).complete(request())
     before = segments(cache_dir)
     inner = CountingBackend()
-    assert CachingBackend(inner, cache_dir, mode="record").complete(request())
+    assert CachingBackend(inner, cache_dir).complete(request())
     assert inner.calls == 0
     assert segments(cache_dir) == before
 
 
 def test_replay_miss_creates_nothing(tmp_path):
     cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
+    CachingBackend(CountingBackend(), cache_dir).complete(request(prompt="recorded"))
+    before = {path: path.read_bytes() for path in cache_dir.rglob("*") if path.is_file()}
     with pytest.raises(ReplayMiss):
-        CachingBackend(None, cache_dir, mode="replay").complete(request())
-    assert list(cache_dir.iterdir()) == []
+        CachingBackend(None, cache_dir).complete(request())
+    after = {path: path.read_bytes() for path in cache_dir.rglob("*") if path.is_file()}
+    assert after == before
 
 
 def test_request_is_serialized_once_per_call(tmp_path, monkeypatch):

@@ -746,6 +746,7 @@ GOOD_REPORT = {
                                "2": {"n": 0, "macro_f1": 1.0, "em": 1.0}}},
             id="empty_bucket",
         ),
+        pytest.param({"n_instances": 0, "by_gold_count": {}}, id="no_instances"),
     ],
 )
 def test_compare_malformed_report_is_refused(tmp_path, capsys, edit):

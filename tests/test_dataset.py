@@ -145,6 +145,10 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             "options must be a list, got 'AB'", id="options_a_string",
         ),
         pytest.param(
+            re.sub(rb'"answers": \[[^]]*\]', b'"answers": 0', VALID_LINE), ValidationFailed,
+            "answers must be a list, got 0", id="answers_not_a_list",
+        ),
+        pytest.param(
             VALID_LINE.replace(FIRST_TURN, b'{"speaker": null, "text": "hello there"}'),
             ValidationFailed, "a turn's speaker must be a string, got None", id="speaker_null",
         ),

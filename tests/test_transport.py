@@ -264,18 +264,13 @@ def test_http_run_does_not_import_requests(server, tmp_path):
     assert server.paths == ["/v1/chat/completions"]
 
 
-def test_reply_without_text_content_fails_only_its_instance(server, tmp_path, capsys):
-    filtered = json.dumps(
-        {"choices": [{"message": {"content": None}, "finish_reason": "content_filter"}]}
-    ).encode("utf-8")
-    server.replies = [
-        (200, {}, chat_body("Answer: A")), (200, {}, filtered), (200, {}, chat_body("Answer: B"))
-    ]
+def three_instance_corpus(tmp_path):
+    """Instances q1, q2 and q3, each asking its own prompt."""
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(
         "".join(
             json.dumps(
-                {"id": f"q{i}", "dialogue": [{"speaker": "A", "text": "hello"}],
+                {"id": f"q{i}", "dialogue": [{"speaker": "A", "text": f"hello {i}"}],
                  "target_index": 0, "question": "Why?", "options": ["one", "two"],
                  "answers": [0]}
             )
@@ -284,6 +279,17 @@ def test_reply_without_text_content_fails_only_its_instance(server, tmp_path, ca
         ),
         "utf-8",
     )
+    return corpus
+
+
+def test_reply_without_text_content_fails_only_its_instance(server, tmp_path, capsys):
+    filtered = json.dumps(
+        {"choices": [{"message": {"content": None}, "finish_reason": "content_filter"}]}
+    ).encode("utf-8")
+    server.replies = [
+        (200, {}, chat_body("Answer: A")), (200, {}, filtered), (200, {}, chat_body("Answer: B"))
+    ]
+    corpus = three_instance_corpus(tmp_path)
     out = tmp_path / "out"
     code = main([
         "run", "--corpus", str(corpus), "--strategy", "standard",
@@ -314,19 +320,7 @@ def test_reply_with_malformed_usage_fails_only_its_instance_under_record(
     server.replies = [
         (200, {}, chat_body("Answer: A")), (200, {}, lots), (200, {}, chat_body("Answer: B"))
     ]
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        "".join(
-            json.dumps(
-                {"id": f"q{i}", "dialogue": [{"speaker": "A", "text": f"hello {i}"}],
-                 "target_index": 0, "question": "Why?", "options": ["one", "two"],
-                 "answers": [0]}
-            )
-            + "\n"
-            for i in (1, 2, 3)
-        ),
-        "utf-8",
-    )
+    corpus = three_instance_corpus(tmp_path)
     out, cache_dir = tmp_path / "out", tmp_path / "cache"
     code = main([
         "run", "--corpus", str(corpus), "--strategy", "standard",
@@ -478,6 +472,37 @@ def test_malformed_response_is_transport_error(raw_server, reply):
     try:
         with pytest.raises(TransportError):
             backend.complete(request())
+    finally:
+        backend.close()
+
+
+def test_reply_that_is_not_utf8_fails_only_its_instance_under_record(
+    raw_server, tmp_path, capsys
+):
+    body = chat_body("Answer: A").replace(b"Answer: A", b"Answer: A\xff")
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    raw_server.raw = [None, (reply, False), None]
+    out, cache_dir = tmp_path / "out", tmp_path / "cache"
+    code = main([
+        "run", "--corpus", str(three_instance_corpus(tmp_path)), "--strategy", "standard",
+        "--backend", "http", "--endpoint", raw_server.url, "--out", str(out),
+        "--cache-mode", "record", "--cache-dir", str(cache_dir),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    [failure] = [line for line in err if line.startswith("rexgot: instance")]
+    assert failure.startswith("rexgot: instance q2: POST ")
+    assert "reply body is not UTF-8" in failure
+    [segment] = (cache_dir / SEGMENT_DIR).iterdir()
+    entries = [json.loads(line) for line in segment.read_bytes().splitlines()]
+    assert [entry["completions"][0]["text"] for entry in entries] == ["ok", "ok"]
+
+
+def test_error_reply_that_is_not_utf8_keeps_its_status(raw_server):
+    raw_server.raw = [(b"HTTP/1.1 503 Busy\r\nContent-Length: 5\r\n\r\nbusy\xff", False)]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=1, sleeper=lambda _: None)
+    try:
+        assert backend.complete(request())[0].text == "ok"  # retried as a server error
     finally:
         backend.close()
 
