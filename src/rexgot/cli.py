@@ -229,6 +229,8 @@ def cmd_run(config: RunConfig) -> int:
     reasoner_config = config.validate()
     strategy = Strategy(config.strategy)
     corpus = load_corpus(config.corpus, format=config.format)
+    if not corpus.instances:
+        raise RexGotError(f"{config.corpus}: corpus holds no instances")
     instances = sorted(corpus.instances, key=lambda instance: instance.id)
     fingerprint = config.fingerprint()
 
@@ -242,7 +244,7 @@ def cmd_run(config: RunConfig) -> int:
     # (medians of 4 paired 8 s runs of perfbench's rex_replay_long, 2 CPUs).
     call_width = config.workers
     if config.cache_mode != CACHE_REPLAY:
-        max_m = max((instance.m for instance in instances), default=1)
+        max_m = max(instance.m for instance in instances)
         call_width *= config.k * max_m
     backend = build_backend(config)
     out_dir = Path(config.out)

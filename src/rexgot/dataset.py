@@ -206,9 +206,13 @@ def _adapt_release_record(record: Mapping[str, Any]) -> dict[str, Any]:
     """
     inst_id = str(_first_present(record, "ID", "id"))
     raw_dialogue = _first_present(record, "Dialogue", "dialogue")
+    if not isinstance(raw_dialogue, list):
+        raise ValueError(f"record {inst_id}: Dialogue must be a list, got {raw_dialogue!r}")
     dialogue = []
     for turn in raw_dialogue:
         if isinstance(turn, Mapping):
+            if "text" not in turn:
+                raise ValueError(f"record {inst_id}: dialogue turn {dict(turn)!r} has no text")
             dialogue.append({"speaker": str(turn.get("speaker", "")), "text": str(turn["text"])})
             continue
         turn = str(turn)

@@ -189,8 +189,8 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
 
     An instance, valid since its construction, is returned as it is. In a
     record, ``id``, ``question``, each option and each turn's ``speaker``
-    (when present) and ``text`` must be strings, and ``options`` and
-    ``answers`` lists; nothing is converted. Raises a
+    (when present) and ``text`` must be strings, and ``dialogue``,
+    ``options`` and ``answers`` lists; nothing is converted. Raises a
     :class:`ValidationError` subtype naming the offending field.
     """
     if isinstance(raw, MCQInstance):
@@ -201,6 +201,10 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
     for key in ("options", "answers"):
         if not isinstance(raw[key], list):
             raise ValidationError(f"{key} must be a list, got {raw[key]!r}", field_name=key)
+    if not isinstance(raw["dialogue"], (list, tuple)):  # a tuple of Utterances from Python
+        raise ValidationError(
+            f"dialogue must be a list, got {raw['dialogue']!r}", field_name="dialogue"
+        )
     for key, indices in (("target_index", [raw["target_index"]]), ("answers", raw["answers"])):
         if not all(type(index) is int for index in indices):
             raise ValidationError(f"{key} must hold integers, got {raw[key]!r}", field_name=key)
@@ -216,6 +220,10 @@ def validate_instance(raw: Mapping[str, Any] | MCQInstance) -> MCQInstance:
         if isinstance(turn, Utterance):
             dialogue.append(turn)
         elif isinstance(turn, dict):
+            if "text" not in turn:
+                raise ValidationError(
+                    f"dialogue turn {turn!r} has no text", field_name="dialogue"
+                )
             speaker, text = turn.get("speaker", ""), turn["text"]
             _require_string(speaker, "a turn's speaker", "dialogue")
             _require_string(text, "a turn's text", "dialogue")

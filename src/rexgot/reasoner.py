@@ -6,12 +6,14 @@ elimination, and the three-step exclusion pipeline that samples K
 reasoning paths, assembles them into a thought graph, and selects the
 answer by voting.
 
-Within one instance the three steps of ``rex_got`` run in order, but
-the calls within a step do not wait for each other: since exclusions
-inform and never prune, every step-2 verdict call depends only on its
-path's step-1 sample, and each path's step-3 call only on that path's
-verdicts. They run on a thread pool, so an instance costs three round
-trips instead of 1 + K·(m+1). Paths whose step-1 samples agree ask
+Each ``rex_got`` path runs the three steps in order, but no path waits
+for another: since exclusions inform and never prune, every step-2
+verdict call depends only on its path's step-1 sample, and each path's
+step-3 call only on that path's verdicts. The calls run on a thread
+pool, so an instance costs three round trips instead of 1 + K·(m+1).
+A step-1 sample that does not parse is asked again once. The retries of
+one instance run one after another, but the paths whose samples parsed
+do not wait for them. Paths whose step-1 samples agree ask
 byte-identical greedy questions, and each such question is rendered
 and asked once per instance, so the number of calls is a function of the
 step-1 texts alone. Distinct instances may be processed concurrently by
@@ -230,27 +232,61 @@ def _ask(
     temperature: float,
     backend: Backend,
     config: ReasonerConfig,
-    first: str | None = None,
 ) -> tuple[T | None, str]:
     """Complete ``prompt`` with one sample, parse it, and retry once on failure.
 
-    ``first`` is a completion already in hand (one of step 1's K samples);
-    then only the retry is requested. ``Unparseable``, ``EmptySet`` and an
-    empty set count as failures. Returns (parsed value or None, last text).
+    ``Unparseable``, ``EmptySet`` and an empty set count as failures.
+    Returns (parsed value or None, last text).
     """
     request = _request(prompt, config, 1, temperature)
-    text = first if first is not None else backend.complete(request)[0].text
-    for attempt in range(2):
+    for _ in range(2):
+        text = backend.complete(request)[0].text
         try:
             parsed = parse(text)
         except (Unparseable, EmptySet):
-            pass
-        else:
-            if parsed != frozenset():
-                return parsed, text
-        if attempt == 0:
-            text = backend.complete(request)[0].text
+            continue
+        if parsed != frozenset():
+            return parsed, text
     return None, text
+
+
+def _exclusion(text: str, m: int) -> ExclusionResult:
+    try:
+        return parse_exclusions(text, m)
+    except Unparseable:
+        return ExclusionResult(excluded=frozenset(), raw_text=text, parse_failed=True)
+
+
+def _sample_step1(
+    instance: MCQInstance, backend: Backend, config: ReasonerConfig
+) -> tuple[CompletionRequest, list[ExclusionResult]]:
+    """Step 1's one n=K call with each sample parsed once, and its retry request.
+
+    A sample that did not parse is a parse-failed result until
+    :func:`_retry_step1` asks it again.
+    """
+    prompt = render_prompt(
+        instance, PromptKind.STEP1_EXCLUSION, max_prompt_tokens=config.max_prompt_tokens
+    )
+    completions = backend.complete(_request(prompt, config, config.k, config.temperature_step1))
+    retry = _request(prompt, config, 1, config.temperature_step1)
+    return retry, [_exclusion(c.text, instance.m) for c in completions]
+
+
+def _retry_step1(
+    retry: CompletionRequest, exclusions: Sequence[ExclusionResult], m: int, backend: Backend
+) -> dict[int, ExclusionResult]:
+    """Ask each parse-failed sample again once, one after another in sample order.
+
+    The retries of one instance are equal requests. Asked in turn, a
+    recording cache answers the later ones with the first one's reply,
+    as its replay will.
+    """
+    return {
+        path_id: _exclusion(backend.complete(retry)[0].text, m)
+        for path_id, a1 in enumerate(exclusions)
+        if a1.parse_failed
+    }
 
 
 def run_step1(
@@ -261,20 +297,9 @@ def run_step1(
     Unparseable completions are retried once individually; a completion
     that stays unparseable is recorded as an empty, parse-failed result.
     """
-    prompt = render_prompt(
-        instance, PromptKind.STEP1_EXCLUSION, max_prompt_tokens=config.max_prompt_tokens
-    )
-    completions = backend.complete(_request(prompt, config, config.k, config.temperature_step1))
-    results = []
-    for first in completions:
-        result, text = _ask(
-            prompt, lambda t: parse_exclusions(t, instance.m), config.temperature_step1,
-            backend, config, first=first.text,
-        )
-        if result is None:
-            result = ExclusionResult(excluded=frozenset(), raw_text=text, parse_failed=True)
-        results.append(result)
-    return results
+    retry, exclusions = _sample_step1(instance, backend, config)
+    retried = _retry_step1(retry, exclusions, instance.m, backend)
+    return [retried.get(path_id, a1) for path_id, a1 in enumerate(exclusions)]
 
 
 def _final_set(
@@ -388,7 +413,7 @@ def run_strategy(
 def _rex_got(
     instance: MCQInstance, backend: Backend, config: ReasonerConfig, pool: Executor
 ) -> Prediction:
-    exclusions = run_step1(instance, backend, config)
+    retry, exclusions = _sample_step1(instance, backend, config)
     # Greedy calls by what their prompt is rendered from: paths that ask the
     # same question share its call and render it once, so one future may
     # answer several paths. Only this thread touches it, so it needs no lock.
@@ -412,25 +437,35 @@ def _rex_got(
         running.add(future)
         return future
 
-    try:
-        # Step 2 is a K×m grid of verdict calls; step 3 is one combining call
-        # per path, asked once that path's row is done.
-        grid = [
-            [
-                ask(PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
-                    config.temperature_step2, a1=a1.raw_text, option_index=i)
-                for i in range(instance.m)
-            ]
-            for a1 in exclusions
+    def verdicts(a1: ExclusionResult) -> list[Future]:
+        return [
+            ask(PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
+                config.temperature_step2, a1=a1.raw_text, option_index=i)
+            for i in range(instance.m)
         ]
+
+    try:
+        # Step 2 is a K×m grid of verdict calls; a path's row is asked once
+        # its exclusion parsed, so samples that need a retry hold no other
+        # path. The retries go first: they are the instance's longest chain.
+        retrying = None
+        if any(a1.parse_failed for a1 in exclusions):
+            retrying = pool.submit(_retry_step1, retry, exclusions, instance.m, backend)
+            running.add(retrying)
+        grid = [None if a1.parse_failed else verdicts(a1) for a1 in exclusions]
+        # Step 3 is one combining call per path, asked once that path's row is done.
         combining: list[Future | None] = [None] * len(grid)
         while running:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             running -= done
             for future in done:
                 future.result()  # a failed call fails the instance at once
+            if retrying in done:
+                for path_id, a1 in retrying.result().items():
+                    exclusions[path_id] = a1
+                    grid[path_id] = verdicts(a1)
             for path_id, (a1, row) in enumerate(zip(exclusions, grid)):
-                if combining[path_id] is None and all(f.done() for f in row):
+                if row and combining[path_id] is None and all(f.done() for f in row):
                     texts = {i: f.result()[1] for i, f in enumerate(row)}
                     combining[path_id] = ask(
                         PromptKind.STEP3_COMBINE, (a1.raw_text, tuple(texts.values())),

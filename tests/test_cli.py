@@ -798,6 +798,21 @@ def test_cache_purge_command(tmp_path, bob_movie_setup, capsys):
     assert not any(p for p in cache_dir.rglob("*.json*"))
 
 
+def test_corpus_without_instances_is_refused_before_any_output(tmp_path, capsys):
+    corpus_path = tmp_path / "blank.jsonl"
+    corpus_path.write_text("\n  \n\n", "utf-8")
+    scripts_path = write_scripts_file(tmp_path / "s.json", [], default=["Answer: A"])
+    out_dir = tmp_path / "out"
+    code = main([
+        "run", "--corpus", str(corpus_path), "--strategy", "rex_got",
+        "--backend", "scripted", "--scripts", str(scripts_path), "--out", str(out_dir),
+        "--cache-mode", "record", "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {corpus_path}: corpus holds no instances\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blank.jsonl", "s.json"]
+
+
 def test_missing_corpus_file_is_reported_not_raised(tmp_path, capsys):
     scripts_path = write_scripts_file(tmp_path / "s.json", [], default=["Answer: A"])
     code = main([

@@ -156,6 +156,18 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             VALID_LINE.replace(FIRST_TURN, b'{"speaker": "A", "text": 7}'), ValidationFailed,
             "a turn's text must be a string, got 7", id="text_not_a_string",
         ),
+        pytest.param(
+            re.sub(rb'"dialogue": \[[^]]*\]', b'"dialogue": 0', VALID_LINE), ValidationFailed,
+            "dialogue must be a list, got 0", id="dialogue_a_number",
+        ),
+        pytest.param(
+            re.sub(rb'"dialogue": \[[^]]*\]', b'"dialogue": "hi"', VALID_LINE),
+            ValidationFailed, "dialogue must be a list, got 'hi'", id="dialogue_a_string",
+        ),
+        pytest.param(
+            VALID_LINE.replace(FIRST_TURN, b'{"speaker": "A"}'), ValidationFailed,
+            "dialogue turn {'speaker': 'A'} has no text", id="turn_without_text",
+        ),
     ],
 )
 def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
@@ -377,6 +389,24 @@ def test_release_adapter_deeply_nested_answer_list_is_hard_error(tmp_path):
     with pytest.raises(ValidationFailed, match="line 2: maximum recursion depth") as err:
         load_corpus(path, format="cicero_release")
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "dialogue, message",
+    [
+        pytest.param(
+            [{"speaker": "A"}, "B: Let us do something outside."],
+            "record r1: dialogue turn {'speaker': 'A'} has no text", id="turn_without_text",
+        ),
+        pytest.param(0, "record r1: Dialogue must be a list, got 0", id="dialogue_a_number"),
+    ],
+)
+def test_release_adapter_bad_dialogue_names_the_field(tmp_path, dialogue, message):
+    record = {**release_record(), "Dialogue": dialogue}
+    path = write_lines(tmp_path / "rel.jsonl", [release_record("r0"), record])
+    with pytest.raises(ValidationFailed) as err:
+        load_corpus(path, format="cicero_release")
+    assert str(err.value) == f"{path}, line 2: {message}"
 
 
 def test_release_adapter_multi_answer_file_is_all_multi(tmp_path):

@@ -18,7 +18,7 @@ from conftest import (
     make_instance,
     scripted_rex_backend,
 )
-from rexgot.backend import Completion, ScriptedBackend, TransportError
+from rexgot.backend import CachingBackend, Completion, ScriptedBackend, TransportError
 from rexgot.model import Strategy
 from rexgot.parsing import ExclusionResult, OptionVerdict, Verdict
 from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER, PromptKind, render_prompt
@@ -691,6 +691,95 @@ def test_rex_got_asks_a_paths_step3_once_its_own_verdicts_are_in():
     assert backend.held == [True] * instance.m
     assert [p.a1.excluded for p in prediction.paths] == [{0}, {1}]
     assert prediction.chosen == frozenset({0})
+
+
+def is_step1_retry(request):
+    return EXCLUSION_HEADER not in request.prompt and request.n_samples == 1
+
+
+class RetryHoldingBackend(StepBackend):
+    """Step 1 samples ``garbled`` and ``Excluded: A``; the retry of the first
+    waits for a verdict call of the second path.
+
+    The wait gives up after ``timeout`` seconds and records whether such a
+    verdict was asked before then. The retry answers ``Excluded: B``.
+    """
+
+    def __init__(self, timeout):
+        super().__init__(["garbled", "Excluded: A"])
+        self.timeout = timeout
+        self.verdict_asked = threading.Event()
+        self.held = []
+
+    def complete(self, request):
+        if is_step1_retry(request):
+            self.held.append(self.verdict_asked.wait(self.timeout))
+            return [Completion(text="Excluded: B")]
+        if "Excluded: A" in request.prompt:
+            self.verdict_asked.set()
+        return super().complete(request)
+
+
+def test_rex_got_parsed_paths_do_not_wait_for_a_step1_retry():
+    # The retry is held until the parsed path has asked a verdict, so a run
+    # that retries every sample before any step 2 would time out.
+    instance = make_instance(m=4)
+    backend = RetryHoldingBackend(timeout=5)
+    prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=2))
+    assert backend.held == [True]
+    assert [p.a1.excluded for p in prediction.paths] == [{1}, {0}]
+    assert not any(p.a1.parse_failed for p in prediction.paths)
+
+
+class SlowRetryBackend(StepBackend):
+    """Step 1 samples ``a1_texts``; each retry sleeps 50 ms and answers ``Excluded: B``."""
+
+    def __init__(self, a1_texts):
+        super().__init__(a1_texts)
+        self.retries = 0
+
+    def complete(self, request):
+        if is_step1_retry(request):
+            self.retries += 1
+            time.sleep(0.05)
+            return [Completion(text="Excluded: B")]
+        return super().complete(request)
+
+
+def test_rex_got_step1_retries_run_in_turn_so_a_recording_cache_asks_one(tmp_path):
+    # Two samples need the same retry request. Asked one after another, the
+    # second is a hit of the first; asked at once, both would miss.
+    instance = make_instance(m=4)
+    inner = SlowRetryBackend(["garbled", "garbled", "Excluded: A"])
+    backend = CachingBackend(inner, tmp_path / "cache")
+    try:
+        prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=3))
+    finally:
+        backend.close()
+    assert inner.retries == 1
+    assert [p.a1.excluded for p in prediction.paths] == [{1}, {1}, {0}]
+
+
+class FailingRetryBackend(StepBackend):
+    def complete(self, request):
+        if is_step1_retry(request):
+            raise TransportError("injected failure")
+        return super().complete(request)
+
+
+def test_rex_got_step1_retry_failure_surfaces_and_leaves_no_call_running(bob_movie_instance):
+    config = ReasonerConfig(k=3)
+    backend = SleepyBackend(
+        FailingRetryBackend(["garbled", "Excluded: A", "Excluded: B"]), lambda p: 0.05
+    )
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(TransportError):
+            run_strategy(bob_movie_instance, Strategy.REX_GOT, backend, config, pool)
+        assert backend.in_flight == 0
+        calls_at_return = backend.calls
+        time.sleep(0.1)
+        assert backend.calls == calls_at_return  # queued calls were cancelled
+    assert calls_at_return < 1 + config.k * bob_movie_instance.m
 
 
 def test_rex_got_step2_failure_surfaces_and_leaves_no_call_running(bob_movie_instance):
