@@ -178,7 +178,8 @@ def evaluate(
     if missing:
         raise MissingPrediction(missing)
 
-    strategy = predictions[0].strategy.value if predictions else "none"
+    if not predictions:
+        raise EmptyInput("cannot evaluate zero predictions")
     pairs = []
     by_size: dict[int, list] = {}
     for prediction in sorted(predictions, key=lambda p: p.instance_id):
@@ -187,10 +188,8 @@ def evaluate(
         pairs.append(pair)
         by_size.setdefault(len(instance.gold), []).append(pair)
 
-    if not pairs:
-        raise EmptyInput("cannot evaluate zero predictions")
     return EvalReport(
-        strategy=strategy,
+        strategy=predictions[0].strategy.value,
         corpus_name=corpus.name,
         n_instances=len(pairs),
         macro_f1=macro_f1(pairs),

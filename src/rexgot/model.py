@@ -19,6 +19,8 @@ if TYPE_CHECKING:
     from .reasoner import ReasoningPath
 
 MAX_OPTIONS = 26
+# An id names its trace file, <id>.json, and file names hold at most 255 bytes.
+MAX_ID_BYTES = 255 - len(".json")
 
 OPTION_LETTERS = string.ascii_uppercase
 
@@ -118,6 +120,11 @@ class MCQInstance:
         if "/" in self.id or "\0" in self.id or self.id in (".", ".."):
             raise ValidationError(
                 f"instance id {self.id!r} is not a single file name", field_name="id"
+            )
+        if len(self.id.encode("utf-8", "surrogatepass")) > MAX_ID_BYTES:
+            raise ValidationError(
+                f"instance id {self.id[:16]!r}... is longer than {MAX_ID_BYTES} UTF-8 bytes",
+                field_name="id",
             )
         if not self.dialogue:
             raise ValidationError("dialogue has no turns", field_name="dialogue")

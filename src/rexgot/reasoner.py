@@ -257,22 +257,6 @@ def _exclusion(text: str, m: int) -> ExclusionResult:
         return ExclusionResult(excluded=frozenset(), raw_text=text, parse_failed=True)
 
 
-def _sample_step1(
-    instance: MCQInstance, backend: Backend, config: ReasonerConfig
-) -> tuple[CompletionRequest, list[ExclusionResult]]:
-    """Step 1's one n=K call with each sample parsed once, and its retry request.
-
-    A sample that did not parse is a parse-failed result until
-    :func:`_retry_step1` asks it again.
-    """
-    prompt = render_prompt(
-        instance, PromptKind.STEP1_EXCLUSION, max_prompt_tokens=config.max_prompt_tokens
-    )
-    completions = backend.complete(_request(prompt, config, config.k, config.temperature_step1))
-    retry = _request(prompt, config, 1, config.temperature_step1)
-    return retry, [_exclusion(c.text, instance.m) for c in completions]
-
-
 def _retry_step1(
     retry: CompletionRequest, exclusions: Sequence[ExclusionResult], m: int, backend: Backend
 ) -> dict[int, ExclusionResult]:
@@ -287,19 +271,6 @@ def _retry_step1(
         for path_id, a1 in enumerate(exclusions)
         if a1.parse_failed
     }
-
-
-def run_step1(
-    instance: MCQInstance, backend: Backend, config: ReasonerConfig
-) -> list[ExclusionResult]:
-    """Sample K exclusion hypotheses in one request and parse each one.
-
-    Unparseable completions are retried once individually; a completion
-    that stays unparseable is recorded as an empty, parse-failed result.
-    """
-    retry, exclusions = _sample_step1(instance, backend, config)
-    retried = _retry_step1(retry, exclusions, instance.m, backend)
-    return [retried.get(path_id, a1) for path_id, a1 in enumerate(exclusions)]
 
 
 def _final_set(
@@ -389,8 +360,8 @@ def run_strategy(
 ) -> Prediction:
     """Produce a prediction for one instance under the given strategy.
 
-    ``rex_got`` runs its step-2 and step-3 calls on ``pool``, a thread
-    pool whose tasks never wait on each other; one instance keeps at
+    ``rex_got`` runs every call after its step-1 call on ``pool``, a
+    thread pool whose tasks never wait on each other; one instance keeps at
     most K·m calls in flight. Without a pool, one that wide is created
     for the call. Greedy step-2 and step-3 questions that several paths
     ask alike are asked once, so ``backend`` needs no wrapper to share
@@ -413,7 +384,13 @@ def run_strategy(
 def _rex_got(
     instance: MCQInstance, backend: Backend, config: ReasonerConfig, pool: Executor
 ) -> Prediction:
-    retry, exclusions = _sample_step1(instance, backend, config)
+    # Step 1 is one n=K call on this thread, each sample parsed once; a sample
+    # that did not parse stays a parse-failed result until its retry returns.
+    prompt = render_prompt(
+        instance, PromptKind.STEP1_EXCLUSION, max_prompt_tokens=config.max_prompt_tokens
+    )
+    completions = backend.complete(_request(prompt, config, config.k, config.temperature_step1))
+    exclusions = [_exclusion(c.text, instance.m) for c in completions]
     # Greedy calls by what their prompt is rendered from: paths that ask the
     # same question share its call and render it once, so one future may
     # answer several paths. Only this thread touches it, so it needs no lock.
@@ -450,6 +427,7 @@ def _rex_got(
         # path. The retries go first: they are the instance's longest chain.
         retrying = None
         if any(a1.parse_failed for a1 in exclusions):
+            retry = _request(prompt, config, 1, config.temperature_step1)
             retrying = pool.submit(_retry_step1, retry, exclusions, instance.m, backend)
             running.add(retrying)
         grid = [None if a1.parse_failed else verdicts(a1) for a1 in exclusions]

@@ -813,6 +813,27 @@ def test_corpus_without_instances_is_refused_before_any_output(tmp_path, capsys)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blank.jsonl", "s.json"]
 
 
+def test_id_too_long_for_a_trace_file_is_refused_before_any_output(tmp_path, capsys):
+    corpus_path = tmp_path / "long.jsonl"
+    records = [
+        {"id": instance_id, "dialogue": [{"speaker": "A", "text": "hello"}],
+         "target_index": 0, "question": "Why?", "options": ["one", "two"], "answers": [0]}
+        for instance_id in ("a", "b" * 300)
+    ]
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    scripts_path = write_scripts_file(tmp_path / "s.json", [], default=["Answer: A"])
+    code = main([
+        "run", "--corpus", str(corpus_path), "--strategy", "standard",
+        "--backend", "scripted", "--scripts", str(scripts_path), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus_path}, line 2: instance id 'bbbbbbbbbbbbbbbb'... "
+        "is longer than 250 UTF-8 bytes\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["long.jsonl", "s.json"]
+
+
 def test_missing_corpus_file_is_reported_not_raised(tmp_path, capsys):
     scripts_path = write_scripts_file(tmp_path / "s.json", [], default=["Answer: A"])
     code = main([

@@ -125,6 +125,10 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             "instance id 'a/b' is not a single file name", id="id_with_a_slash",
         ),
         pytest.param(
+            VALID_LINE.replace(b'"c1"', b'"' + b"b" * 300 + b'"'), ValidationFailed,
+            f"instance id {'b' * 16!r}... is longer than 250 UTF-8 bytes", id="id_too_long",
+        ),
+        pytest.param(
             VALID_LINE.replace(b"What might", b"What\\udcff might"), ValidationFailed,
             "instance 'c1': question holds a lone surrogate", id="lone_surrogate",
         ),

@@ -54,7 +54,27 @@ def test_id_that_is_not_one_file_name_rejected(instance_id):
     assert err.value.field_name == "id"
 
 
-@pytest.mark.parametrize("instance_id", ["...", ".hidden", "a..b", "a\\b", "a b"])
+@pytest.mark.parametrize(
+    "instance_id",
+    ["b" * 251, "\u00e9" * 126, "\U0001f600" * 63],
+    ids=["251-bytes-1-byte", "252-bytes-2-byte", "252-bytes-4-byte"],
+)
+def test_id_too_long_to_name_a_trace_file_rejected(instance_id):
+    # <id>.json must fit a 255-byte file name; the limit counts UTF-8 bytes.
+    with pytest.raises(ValidationError, match="is longer than 250 UTF-8 bytes") as err:
+        validate_instance(raw_record(id=instance_id))
+    assert err.value.field_name == "id"
+
+
+@pytest.mark.parametrize(
+    "instance_id",
+    [
+        "...", ".hidden", "a..b", "a\\b", "a b",
+        pytest.param("b" * 250, id="250-bytes-1-byte"),
+        pytest.param("\u00e9" * 125, id="250-bytes-2-byte"),
+        pytest.param("\U0001f600" * 62, id="248-bytes-4-byte"),
+    ],
+)
 def test_id_that_is_one_file_name_accepted(instance_id):
     assert validate_instance(raw_record(id=instance_id)).id == instance_id
 

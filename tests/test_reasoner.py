@@ -31,7 +31,6 @@ from rexgot.reasoner import (
     VotePolicy,
     build_graph,
     build_trace,
-    run_step1,
     run_strategy,
     vote,
 )
@@ -234,12 +233,18 @@ def test_graph_has_one_central_and_m_option_nodes(bob_movie_instance):
     assert kinds.count("option") == 5
 
 
-# --- step functions over scripted backends ---------------------------------
+# --- steps over scripted backends -----------------------------------------
+
+
+def step1_results(instance, backend, config):
+    """The K exclusion results of a ``rex_got`` run."""
+    prediction = run_strategy(instance, Strategy.REX_GOT, backend, config)
+    return [path.a1 for path in prediction.paths]
 
 
 def test_step1_bob_movie_exclusions(bob_movie_instance):
     backend = scripted_rex_backend(bob_movie_instance)
-    results = run_step1(bob_movie_instance, backend, ReasonerConfig(k=1))
+    results = step1_results(bob_movie_instance, backend, ReasonerConfig(k=1))
     assert len(results) == 1
     assert results[0].excluded == frozenset({2, 3})
     assert not results[0].parse_failed
@@ -247,7 +252,7 @@ def test_step1_bob_movie_exclusions(bob_movie_instance):
 
 def test_step1_k3_identical_results(bob_movie_instance):
     backend = scripted_rex_backend(bob_movie_instance)
-    results = run_step1(bob_movie_instance, backend, ReasonerConfig(k=3))
+    results = step1_results(bob_movie_instance, backend, ReasonerConfig(k=3))
     assert len(results) == 3
     assert results[0] == results[1] == results[2]
 
@@ -255,10 +260,10 @@ def test_step1_k3_identical_results(bob_movie_instance):
 def test_step1_garbage_retries_then_degenerates(bob_movie_instance):
     backend = ScriptedBackend(default_responses=["mmm interesting question"])
     wrapper = CountingWrapper(backend)
-    results = run_step1(bob_movie_instance, wrapper, ReasonerConfig(k=1))
+    results = step1_results(bob_movie_instance, wrapper, ReasonerConfig(k=1))
     assert results[0].parse_failed
     assert results[0].excluded == frozenset()
-    assert len(wrapper.requests) == 2  # first sample plus one retry
+    assert len(step_requests(wrapper.requests, 1)) == 2  # first sample plus one retry
 
 
 def one_path(instance, backend, config=ReasonerConfig()):
@@ -273,7 +278,9 @@ def one_path(instance, backend, config=ReasonerConfig()):
 
 
 def step_requests(requests, step):
-    """The step-2 or step-3 requests among ``requests``, in order."""
+    """The step-1, step-2 or step-3 requests among ``requests``, in order."""
+    if step == 1:
+        return [r for r in requests if EXCLUSION_HEADER not in r.prompt]
     if step == 3:
         return [r for r in requests if VERDICTS_HEADER in r.prompt]
     return [
@@ -872,16 +879,30 @@ RETRY_CONFIG = ReasonerConfig(k=3, temperature_step1=0.9, temperature_step2=0.2,
                               temperature_step3=0.4)
 
 
+class QueuedStep1Backend(StepBackend):
+    """Step 1 returns queued replies in order; steps 2 and 3 as :class:`StepBackend`."""
+
+    def __init__(self, replies):
+        super().__init__([])
+        self.step1 = QueuedBackend(replies)
+
+    def complete(self, request):
+        if EXCLUSION_HEADER not in request.prompt:
+            return self.step1.complete(request)
+        return super().complete(request)
+
+
 def test_step1_garbage_sample_gets_one_single_retry_in_sample_order(bob_movie_instance):
-    backend = CountingWrapper(
-        QueuedBackend(["Excluded: A", "mmm interesting question", "Excluded: C", "Excluded: B"])
-    )
-    results = run_step1(bob_movie_instance, backend, RETRY_CONFIG)
+    backend = CountingWrapper(QueuedStep1Backend(
+        ["Excluded: A", "mmm interesting question", "Excluded: C", "Excluded: B"]
+    ))
+    results = step1_results(bob_movie_instance, backend, RETRY_CONFIG)
     assert [r.excluded for r in results] == [{0}, {1}, {2}]
     assert not any(r.parse_failed for r in results)
     assert results[1].raw_text == "Excluded: B"
-    assert [(r.n_samples, r.temperature) for r in backend.requests] == [(3, 0.9), (1, 0.9)]
-    assert backend.requests[0].prompt == backend.requests[1].prompt
+    step1 = step_requests(backend.requests, 1)
+    assert [(r.n_samples, r.temperature) for r in step1] == [(3, 0.9), (1, 0.9)]
+    assert step1[0].prompt == step1[1].prompt
 
 
 def test_step3_garbage_then_answer_takes_the_retry():
