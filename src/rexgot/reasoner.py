@@ -12,8 +12,9 @@ verdict call depends only on its path's step-1 sample, and each path's
 step-3 call only on that path's verdicts. The calls run on a thread
 pool, so an instance costs three round trips instead of 1 + K·(m+1).
 A step-1 sample that does not parse is asked again once. The retries of
-one instance run one after another, but the paths whose samples parsed
-do not wait for them. Paths whose step-1 samples agree ask
+one instance are asked one at a time in sample order, and a retried path
+goes on as soon as its own retry returns; the paths whose samples parsed
+do not wait for any retry. Paths whose step-1 samples agree ask
 byte-identical greedy questions, and each such question is rendered
 and asked once per instance, so the number of calls is a function of the
 step-1 texts alone. Distinct instances may be processed concurrently by
@@ -257,22 +258,6 @@ def _exclusion(text: str, m: int) -> ExclusionResult:
         return ExclusionResult(excluded=frozenset(), raw_text=text, parse_failed=True)
 
 
-def _retry_step1(
-    retry: CompletionRequest, exclusions: Sequence[ExclusionResult], m: int, backend: Backend
-) -> dict[int, ExclusionResult]:
-    """Ask each parse-failed sample again once, one after another in sample order.
-
-    The retries of one instance are equal requests. Asked in turn, a
-    recording cache answers the later ones with the first one's reply,
-    as its replay will.
-    """
-    return {
-        path_id: _exclusion(backend.complete(retry)[0].text, m)
-        for path_id, a1 in enumerate(exclusions)
-        if a1.parse_failed
-    }
-
-
 def _final_set(
     chosen: frozenset[int] | None,
     instance: MCQInstance,
@@ -361,12 +346,13 @@ def run_strategy(
     """Produce a prediction for one instance under the given strategy.
 
     ``rex_got`` runs every call after its step-1 call on ``pool``, a
-    thread pool whose tasks never wait on each other; one instance keeps at
-    most K·m calls in flight. Without a pool, one that wide is created
-    for the call. Greedy step-2 and step-3 questions that several paths
-    ask alike are asked once, so ``backend`` needs no wrapper to share
-    them. The other strategies make every call on the calling thread. A
-    backend error reaches the caller as the backend raised it.
+    thread pool whose tasks never wait on each other; each task asks one
+    question, and the step-1 retries are asked one at a time. One instance
+    keeps at most K·m calls in flight. Without a pool, one that wide is
+    created for the call. Greedy step-2 and step-3 questions that several
+    paths ask alike are asked once, so ``backend`` needs no wrapper to
+    share them. The other strategies make every call on the calling
+    thread. A backend error reaches the caller as the backend raised it.
     """
     config = config or ReasonerConfig()
     if strategy in _BASELINES:
@@ -421,15 +407,25 @@ def _rex_got(
             for i in range(instance.m)
         ]
 
+    # A sample that did not parse is asked again once. Its retries are equal
+    # requests, asked one at a time in sample order, so a recording cache
+    # answers the later ones with the first one's reply, as its replay will.
+    failed = [path_id for path_id, a1 in enumerate(exclusions) if a1.parse_failed]
+    retry = _request(prompt, config, 1, config.temperature_step1)
+
+    def retry_next() -> Future | None:
+        if not failed:
+            return None
+        future = pool.submit(backend.complete, retry)
+        running.add(future)
+        return future
+
     try:
         # Step 2 is a K×m grid of verdict calls; a path's row is asked once
-        # its exclusion parsed, so samples that need a retry hold no other
-        # path. The retries go first: they are the instance's longest chain.
-        retrying = None
-        if any(a1.parse_failed for a1 in exclusions):
-            retry = _request(prompt, config, 1, config.temperature_step1)
-            retrying = pool.submit(_retry_step1, retry, exclusions, instance.m, backend)
-            running.add(retrying)
+        # its exclusion parsed, so a sample that needs a retry holds no other
+        # path. The first retry is asked before any verdict: the retries are
+        # the instance's longest chain.
+        retrying = retry_next()
         grid = [None if a1.parse_failed else verdicts(a1) for a1 in exclusions]
         # Step 3 is one combining call per path, asked once that path's row is done.
         combining: list[Future | None] = [None] * len(grid)
@@ -439,9 +435,10 @@ def _rex_got(
             for future in done:
                 future.result()  # a failed call fails the instance at once
             if retrying in done:
-                for path_id, a1 in retrying.result().items():
-                    exclusions[path_id] = a1
-                    grid[path_id] = verdicts(a1)
+                path_id = failed.pop(0)
+                exclusions[path_id] = _exclusion(retrying.result()[0].text, instance.m)
+                grid[path_id] = verdicts(exclusions[path_id])
+                retrying = retry_next()
             for path_id, (a1, row) in enumerate(zip(exclusions, grid)):
                 if row and combining[path_id] is None and all(f.done() for f in row):
                     texts = {i: f.result()[1] for i, f in enumerate(row)}

@@ -22,6 +22,7 @@ from rexgot.dataset import Corpus, save_corpus
 from rexgot.evaluation import evaluate
 from rexgot.model import Prediction, Strategy
 from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER
+from rexgot.reasoner import ReasonerConfig
 
 
 @pytest.fixture
@@ -274,6 +275,7 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
         pytest.param({"cache_mode": "bogus"}, [], "unknown cache mode 'bogus'", id="cache_mode"),
         pytest.param({}, ["--workers", "0"], "workers must be >= 1, got 0", id="workers_below_1"),
         pytest.param({}, ["--repeat", "0"], "repeat must be >= 1, got 0", id="repeat_below_1"),
+        pytest.param({"scripts": ""}, [], "scripted backend requires --scripts", id="no_scripts"),
     ],
 )
 def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings, flags, message):
@@ -289,6 +291,19 @@ def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_missing_required_setting_is_config_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--strategy", "cot", "--out", str(out_dir)]) == 2
+    assert "config error: missing required setting(s): corpus" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_defaults_are_the_reasoner_defaults():
+    assert RunConfig(corpus="c", strategy="rex_got", endpoint="http://x").validate() == (
+        ReasonerConfig()
+    )
 
 
 @pytest.mark.parametrize(
@@ -676,6 +691,43 @@ def test_compare_command_five_reports(tmp_path, capsys):
     body = [l for l in out.splitlines() if l and not l.startswith(("strategy", "-"))]
     assert len(body) == 5
     assert body[0].startswith("backward")
+    # --json rounds to 2 decimals and leaves a strategy's missing corpus null.
+    other = tmp_path / "report-other.json"
+    other.write_text(json.dumps({
+        "strategy": "cot", "corpus_name": "other", "n_instances": 3,
+        "macro_f1": 2 / 3, "exact_match": 1 / 3,
+        "by_gold_count": {"1": {"n": 3, "macro_f1": 2 / 3, "em": 1 / 3}},
+    }))
+    assert main(["compare", "--json", report_paths[0], str(other)]) == 0
+    assert capsys.readouterr().out == """{
+  "corpora": [
+    "other",
+    "toy"
+  ],
+  "rows": [
+    {
+      "scores": {
+        "other": {
+          "em": 0.33,
+          "macro_f1": 0.67
+        },
+        "toy": null
+      },
+      "strategy": "cot"
+    },
+    {
+      "scores": {
+        "other": null,
+        "toy": {
+          "em": 0.25,
+          "macro_f1": 0.5
+        }
+      },
+      "strategy": "standard"
+    }
+  ]
+}
+"""
 
 
 def test_compare_single_report(tmp_path, capsys):

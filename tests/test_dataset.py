@@ -20,7 +20,7 @@ from rexgot.dataset import (
     load_corpus,
     save_corpus,
 )
-from rexgot.model import RexGotError
+from rexgot.model import RexGotError, ValidationError
 from rexgot.prompts import PromptKind, render_prompt
 
 
@@ -253,6 +253,12 @@ def test_duplicate_ids_are_hard_errors(tmp_path):
     with pytest.raises(ValidationFailed) as err:
         load_corpus(path)
     assert "dup" in str(err.value)
+
+
+def test_corpus_with_a_duplicate_id_rejected():
+    with pytest.raises(ValidationError, match="corpus c: duplicate instance id 'dup'") as err:
+        Corpus(name="c", instances=(make_instance("dup"), make_instance("dup")))
+    assert err.value.field_name == "id"
 
 
 def test_save_load_round_trip(tmp_path):

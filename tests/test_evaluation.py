@@ -144,6 +144,11 @@ def test_evaluate_unknown_instance():
         evaluate(predictions + [stray], corpus)
 
 
+def test_evaluate_empty_corpus_raises_empty_input():
+    with pytest.raises(EmptyInput):
+        evaluate([], Corpus(name="empty", instances=()))
+
+
 def test_evaluate_duplicate_ids_hit_both_coverage_errors():
     corpus, predictions = build_corpus_and_predictions(seed=1, size=4)
     duplicated = predictions[:-1] + [predictions[0]]

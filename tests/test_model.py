@@ -41,6 +41,13 @@ def test_validate_wellformed_five_options():
     assert instance.target.text == "second turn"
 
 
+def test_validate_accepts_a_tuple_of_utterances():
+    dialogue = (Utterance(speaker="A", text="first turn"), Utterance(speaker="B", text="second turn"))
+    instance = validate_instance(raw_record(dialogue=dialogue))
+    assert instance.dialogue == dialogue
+    assert instance == validate_instance(raw_record())
+
+
 def test_empty_gold_rejected():
     with pytest.raises(EmptyGold) as err:
         validate_instance(raw_record(answers=[]))

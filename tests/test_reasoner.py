@@ -738,6 +738,52 @@ def test_rex_got_parsed_paths_do_not_wait_for_a_step1_retry():
     assert not any(p.a1.parse_failed for p in prediction.paths)
 
 
+class SecondRetryHoldingBackend(StepBackend):
+    """Step 1 samples ``garbled`` twice. The first retry answers ``Excluded: B``;
+    the second waits until all verdicts of the first retried path were asked.
+
+    The wait gives up after ``timeout`` seconds and records whether those
+    verdicts were asked before then. The second retry answers ``Excluded: C``.
+    """
+
+    def __init__(self, timeout, m):
+        super().__init__(["garbled", "garbled"])
+        self.timeout = timeout
+        self.m = m
+        self.lock = threading.Lock()
+        self.retries = 0
+        self.verdicts_of_b = 0
+        self.verdicts_asked = threading.Event()
+        self.held = []
+
+    def complete(self, request):
+        if is_step1_retry(request):
+            with self.lock:
+                self.retries += 1
+                first = self.retries == 1
+            if first:
+                return [Completion(text="Excluded: B")]
+            self.held.append(self.verdicts_asked.wait(self.timeout))
+            return [Completion(text="Excluded: C")]
+        if "Excluded: B" in request.prompt and VERDICTS_HEADER not in request.prompt:
+            with self.lock:
+                self.verdicts_of_b += 1
+                if self.verdicts_of_b == self.m:
+                    self.verdicts_asked.set()
+        return super().complete(request)
+
+
+def test_rex_got_retried_path_does_not_wait_for_a_later_samples_retry():
+    # The second retry is held until the first retried path has asked its
+    # verdicts, so a run that asks step 2 only after every retry would time out.
+    instance = make_instance(m=4)
+    backend = SecondRetryHoldingBackend(timeout=5, m=instance.m)
+    prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=2))
+    assert backend.held == [True]
+    assert [p.a1.excluded for p in prediction.paths] == [{1}, {2}]
+    assert not any(p.a1.parse_failed for p in prediction.paths)
+
+
 class SlowRetryBackend(StepBackend):
     """Step 1 samples ``a1_texts``; each retry sleeps 50 ms and answers ``Excluded: B``."""
 
