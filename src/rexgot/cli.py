@@ -136,6 +136,8 @@ class RunConfig:
     def fingerprint(self) -> str:
         """Digest of every setting that shapes results, and of the prompt templates."""
         payload = {k: v for k, v in asdict(self).items() if k not in _UNFINGERPRINTED}
+        if self.vote_policy == VoteKind.PATH_PLURALITY.value:
+            del payload["tie_break"]  # path plurality has its own tie rule
         payload["temperatures"] = [payload.pop(f"temp_step{step}") for step in (1, 2, 3)]
         payload["template_version"] = template_version()
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .model import MCQInstance, RexGotError, ValidationError, validate_instance
+from .model import MCQInstance, RexGotError, ValidationError, _require_string, validate_instance
 
 CANONICAL = "canonical"
 CICERO_RELEASE = "cicero_release"
@@ -202,9 +202,11 @@ def _adapt_release_record(record: Mapping[str, Any]) -> dict[str, Any]:
     ``Question`` -> question; ``Choices`` -> options; ``Correct Answers``
     (indices, option texts, or a JSON-encoded list) -> answers. Answers
     given as option text resolve by exact string match after whitespace
-    normalization; anything unresolvable is a hard error.
+    normalization; anything unresolvable is a hard error. Every text
+    field must be a JSON string, else a ``ValidationError`` names it.
     """
-    inst_id = str(_first_present(record, "ID", "id"))
+    inst_id = _first_present(record, "ID", "id")
+    _require_string(inst_id, "ID", "id")
     raw_dialogue = _first_present(record, "Dialogue", "dialogue")
     if not isinstance(raw_dialogue, list):
         raise ValueError(f"record {inst_id}: Dialogue must be a list, got {raw_dialogue!r}")
@@ -213,16 +215,21 @@ def _adapt_release_record(record: Mapping[str, Any]) -> dict[str, Any]:
         if isinstance(turn, Mapping):
             if "text" not in turn:
                 raise ValueError(f"record {inst_id}: dialogue turn {dict(turn)!r} has no text")
-            dialogue.append({"speaker": str(turn.get("speaker", "")), "text": str(turn["text"])})
+            speaker, text = turn.get("speaker", ""), turn["text"]
+            _require_string(speaker, f"record {inst_id}: a turn's speaker", "dialogue")
+            _require_string(text, f"record {inst_id}: a turn's text", "dialogue")
+            dialogue.append({"speaker": speaker, "text": text})
             continue
-        turn = str(turn)
+        _require_string(turn, f"record {inst_id}: each Dialogue turn", "dialogue")
         speaker, sep, text = turn.partition(": ")
         if sep and len(speaker) <= 20:
             dialogue.append({"speaker": speaker, "text": text})
         else:
             dialogue.append({"speaker": "", "text": turn})
 
-    target = _norm(str(_first_present(record, "Target", "target")))
+    target = _first_present(record, "Target", "target")
+    _require_string(target, f"record {inst_id}: Target", "target_index")
+    target = _norm(target)
     target_index = None
     for i, turn in enumerate(dialogue):
         line = f"{turn['speaker']}: {turn['text']}" if turn["speaker"] else turn["text"]
@@ -232,7 +239,13 @@ def _adapt_release_record(record: Mapping[str, Any]) -> dict[str, Any]:
     if target_index is None:
         raise ValueError(f"record {inst_id}: target utterance not found in dialogue")
 
-    options = [str(c) for c in _first_present(record, "Choices", "choices", "options")]
+    options = _first_present(record, "Choices", "choices", "options")
+    if not isinstance(options, list):
+        raise ValueError(f"record {inst_id}: Choices must be a list, got {options!r}")
+    for option in options:
+        _require_string(option, f"record {inst_id}: each choice", "options")
+    question = _first_present(record, "Question", "question")
+    _require_string(question, f"record {inst_id}: Question", "question")
     raw_answers = _first_present(
         record, "Correct Answers", "correct answers", "Answers", "answers"
     )
@@ -242,13 +255,14 @@ def _adapt_release_record(record: Mapping[str, Any]) -> dict[str, Any]:
         "id": inst_id,
         "dialogue": dialogue,
         "target_index": target_index,
-        "question": str(_first_present(record, "Question", "question")),
+        "question": question,
         "options": options,
         "answers": answers,
     }
     for key in ("Type", "type", "Relation", "inference_type"):
         if key in record and record[key]:
-            adapted["inference_type"] = str(record[key])
+            _require_string(record[key], f"record {inst_id}: {key}", "inference_type")
+            adapted["inference_type"] = record[key]
             break
     return adapted
 

@@ -52,7 +52,8 @@ class Verdict(Enum):
 class OptionVerdict:
     """Per-option judgment from the analysis step, and the text that gives it.
 
-    ABSTAIN is only recorded when parsing failed after retries.
+    ABSTAIN is only recorded when the reply stayed unparseable (after its
+    retry, when the step samples).
     """
 
     verdict: Verdict

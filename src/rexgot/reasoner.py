@@ -14,7 +14,10 @@ pool, so an instance costs three round trips instead of 1 + K·(m+1).
 A step-1 sample that does not parse is asked again once. The retries of
 one instance are asked one at a time in sample order, and a retried path
 goes on as soon as its own retry returns; the paths whose samples parsed
-do not wait for any retry. Paths whose step-1 samples agree ask
+do not wait for any retry. A later step's reply that does not parse is
+asked again once only when that step samples (temperature > 0): a greedy
+resend is the same request, so a cache or a deterministic server repeats
+the reply. Paths whose step-1 samples agree ask
 byte-identical greedy questions, and each such question is rendered
 and asked once per instance, so the number of calls is a function of the
 step-1 texts alone. Distinct instances may be processed concurrently by
@@ -234,13 +237,16 @@ def _ask(
     backend: Backend,
     config: ReasonerConfig,
 ) -> tuple[T | None, str]:
-    """Complete ``prompt`` with one sample, parse it, and retry once on failure.
+    """Complete ``prompt`` with one sample and parse it; a sampled call retries once.
 
-    ``Unparseable``, ``EmptySet`` and an empty set count as failures.
+    ``Unparseable``, ``EmptySet`` and an empty set count as failures. Only
+    a call with ``temperature`` > 0 is asked again: at temperature 0 the
+    resend is the same request, which a cache answers from the failed
+    attempt's entry and a deterministic server answers with the same text.
     Returns (parsed value or None, last text).
     """
     request = _request(prompt, config, 1, temperature)
-    for _ in range(2):
+    for _ in range(2 if temperature > 0 else 1):
         text = backend.complete(request)[0].text
         try:
             parsed = parse(text)
@@ -267,7 +273,7 @@ def _final_set(
     """One path's step-3 final set and whether a fallback produced it.
 
     ``chosen`` is the parsed combining answer, None when it stayed
-    unparseable or empty after one retry; then the path falls back to
+    unparseable or empty (see :func:`_ask`); then the path falls back to
     the options judged reasonable, then to everything not excluded, then
     to option A.
     """
@@ -455,7 +461,7 @@ def _rex_got(
 
     paths = []
     for path_id, (a1, row, combined) in enumerate(zip(exclusions, grid, combining)):
-        # A verdict still unparseable after its retry abstains.
+        # A verdict that stayed unparseable abstains.
         a2 = {
             i: OptionVerdict(verdict=Verdict.ABSTAIN if parsed is None else parsed, raw_text=text)
             for i, (parsed, text) in enumerate(f.result() for f in row)

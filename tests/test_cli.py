@@ -1070,6 +1070,12 @@ def test_fingerprint_covers_every_setting_but_locations_and_spread():
         assert (changed == digest) == (name in UNFINGERPRINTED), name
 
 
+def test_tie_break_is_not_fingerprinted_under_path_plurality():
+    base = RunConfig(corpus="c", strategy="rex_got", vote_policy="path_plurality")
+    assert base.tie_break == "prefer_exclude"
+    assert replace(base, tie_break="prefer_include").fingerprint() == base.fingerprint()
+
+
 @pytest.mark.parametrize("digest", ["ABC", "A" * 64, "g" * 64, "a" * 63, "a" * 65])
 def test_scripts_digest_that_cannot_match_is_an_error(tmp_path, bob_movie_setup, capsys, digest):
     corpus_path, _ = bob_movie_setup

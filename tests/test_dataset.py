@@ -419,6 +419,49 @@ def test_release_adapter_bad_dialogue_names_the_field(tmp_path, dialogue, messag
     assert str(err.value) == f"{path}, line 2: {message}"
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        pytest.param({"ID": 5}, "ID must be a string, got 5", id="id_a_number"),
+        pytest.param(
+            {"Dialogue": [{"speaker": None, "text": "hi"}]},
+            "record r1: a turn's speaker must be a string, got None", id="speaker_null",
+        ),
+        pytest.param(
+            {"Dialogue": [{"speaker": "A", "text": 7}]},
+            "record r1: a turn's text must be a string, got 7", id="text_a_number",
+        ),
+        pytest.param(
+            {"Dialogue": ["A: It is sunny today.", 3]},
+            "record r1: each Dialogue turn must be a string, got 3", id="turn_a_number",
+        ),
+        pytest.param({"Target": 1}, "record r1: Target must be a string, got 1", id="target_a_number"),
+        pytest.param(
+            {"Question": None}, "record r1: Question must be a string, got None", id="question_null"
+        ),
+        pytest.param(
+            {"Choices": ["stay home", None, "call a friend"]},
+            "record r1: each choice must be a string, got None", id="choice_null",
+        ),
+        pytest.param(
+            {"Choices": "ABCD"}, "record r1: Choices must be a list, got 'ABCD'",
+            id="choices_a_string",
+        ),
+        pytest.param({"Type": 3}, "record r1: Type must be a string, got 3", id="type_a_number"),
+        pytest.param(
+            {"ID": 5, "Question": None, "Choices": [1, None]}, "ID must be a string, got 5",
+            id="id_question_and_choices",
+        ),
+    ],
+)
+def test_release_adapter_non_string_field_is_named(tmp_path, changes, message):
+    record = {**release_record(), **changes}
+    path = write_lines(tmp_path / "rel.jsonl", [release_record("r0"), record])
+    with pytest.raises(ValidationFailed) as err:
+        load_corpus(path, format="cicero_release")
+    assert str(err.value) == f"{path}, line 2: {message}"
+
+
 def test_release_adapter_multi_answer_file_is_all_multi(tmp_path):
     records = [release_record(f"v2-{k}", answers=(0, k % 3 + 1)) for k in range(6)]
     path = write_lines(tmp_path / "v2.jsonl", records)

@@ -317,7 +317,7 @@ def test_step2_unparseable_twice_abstains():
     path = one_path(instance, wrapper)
     assert path.a1 == ExclusionResult(excluded=frozenset(), raw_text="Excluded: none")
     assert all(v.verdict is Verdict.ABSTAIN for v in path.a2.values())
-    assert len(step_requests(wrapper.requests, 2)) == 4  # one try + one retry per option
+    assert len(step_requests(wrapper.requests, 2)) == 2  # one greedy try per option
 
 
 def test_step3_bob_movie_answer(bob_movie_instance):
@@ -474,24 +474,24 @@ def test_standard_unparseable_falls_back_to_full_set():
 
 @pytest.mark.parametrize("strategy", [Strategy.REX_GOT, Strategy.STANDARD])
 def test_empty_answer_is_a_failed_parse(bob_movie_instance, strategy):
-    # "Answer: none" names no option: it is retried once, then the strategy falls back.
+    # "Answer: none" names no option: greedy, it is not retried, and the strategy falls back.
     if strategy is Strategy.REX_GOT:
         inner = scripted_rex_backend(bob_movie_instance, step3_text="Answer: none")
         answer_prompt = render_prompt(
             bob_movie_instance, PromptKind.STEP3_COMBINE, a1=BOB_EXCLUSION_TEXT,
             a2=BOB_VERDICT_TEXTS,
         )
-        calls, fallback = 1 + 5 + 2, frozenset({0, 1, 4})  # the options judged reasonable
+        calls, fallback = 1 + 5 + 1, frozenset({0, 1, 4})  # the options judged reasonable
     else:
         inner = ScriptedBackend(default_responses=["Answer: none"])
         answer_prompt = render_prompt(bob_movie_instance, PromptKind.STANDARD)
-        calls, fallback = 2, frozenset(range(5))  # the full set
+        calls, fallback = 1, frozenset(range(5))  # the full set
     backend = CountingWrapper(inner)
     with ThreadPoolExecutor(max_workers=1) as pool:
         prediction = run_strategy(
             bob_movie_instance, strategy, backend, ReasonerConfig(k=1), pool
         )
-    assert [r.prompt for r in backend.requests].count(answer_prompt) == 2
+    assert [r.prompt for r in backend.requests].count(answer_prompt) == 1
     assert len(backend.requests) == calls
     assert prediction.chosen == fallback
     assert prediction.fallback_used
@@ -648,8 +648,8 @@ def test_rex_got_fan_out_result_independent_of_completion_order(bob_movie_instan
         graph = build_graph(bob_movie_instance, prediction.paths)
         results.append((prediction, build_trace(bob_movie_instance, prediction, graph)))
     # Paths 0 and 2 share their exclusion text, so they share their step-2 and
-    # step-3 calls; path 1 retries its one bad verdict.
-    assert calls == [1 + 2 * m + 1 + 2] * 2
+    # step-3 calls; path 1's one bad verdict is greedy, so it is not retried.
+    assert calls == [1 + 2 * m + 2] * 2
     (first, first_trace), (second, second_trace) = results
     assert first == second
     assert first.paths == second.paths
@@ -995,3 +995,67 @@ def test_verdict_abstention_keeps_the_retry_text():
     assert path.a2[1].verdict is Verdict.REASONABLE
     step2 = step_requests(backend.requests, 2)
     assert [(r.n_samples, r.temperature) for r in step2] == [(1, 0.2)] * 3
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_greedy_unparseable_reply_is_asked_once(strategy):
+    # At temperature 0 a resend is the same request, so it would get the same
+    # reply: every greedy call is asked once, for the baselines and for
+    # rex_got's steps 2 and 3 alike.
+    instance = make_instance(m=2)
+    backend = ScriptedBackend(default_responses=["shrug"])
+    backend.register_script(
+        responses=["Excluded: none"], prompt=render_prompt(instance, PromptKind.STEP1_EXCLUSION)
+    )
+    wrapper = CountingWrapper(backend)
+    prediction = run_strategy(instance, strategy, wrapper, ReasonerConfig(k=1))
+    prompts = [r.prompt for r in wrapper.requests]
+    assert len(prompts) == len(set(prompts))
+    assert len(prompts) == (1 + instance.m + 1 if strategy is Strategy.REX_GOT else 1)
+    assert prediction.fallback_used
+
+
+class HashedReplyBackend:
+    """Answers each prompt with one of two fixed replies chosen by its digest; counts calls."""
+
+    REPLIES = ("garbled nonsense output", "Answer: B\nPick: B\nRemove: A\nMore: yes")
+
+    def __init__(self):
+        self.calls = 0
+        self.garbled = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        text = self.REPLIES[prompt_rank(request.prompt) % 2]
+        with self._lock:
+            self.calls += 1
+            self.garbled += text == self.REPLIES[0]
+        return [Completion(text=text)] * request.n_samples
+
+
+@pytest.mark.parametrize(
+    "strategy", [Strategy.STANDARD, Strategy.COT, Strategy.FORWARD, Strategy.BACKWARD]
+)
+def test_greedy_baseline_record_asks_as_many_calls_as_no_cache_and_replays_equal(
+    strategy, tmp_path
+):
+    instances = [make_instance(instance_id=f"q{i}", m=3, question=f"Why {i}?") for i in range(8)]
+
+    def run_all(backend):
+        return [run_strategy(instance, strategy, backend) for instance in instances]
+
+    off = HashedReplyBackend()
+    expected = run_all(off)
+    assert off.garbled > 0
+    inner = HashedReplyBackend()
+    recording = CachingBackend(inner, tmp_path / "cache")
+    try:
+        assert run_all(recording) == expected
+    finally:
+        recording.close()
+    assert inner.calls == off.calls
+    replaying = CachingBackend(None, tmp_path / "cache")
+    try:
+        assert run_all(replaying) == expected
+    finally:
+        replaying.close()
