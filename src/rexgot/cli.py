@@ -16,7 +16,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Sequence, TypeVar
+from typing import Any, Sequence
 
 from .backend import (
     Backend,
@@ -61,7 +61,6 @@ _CHOICES = {
 # since a cached answer is the one the server gave. The endpoint is left out
 # too, although the server it names does shape results.
 _UNFINGERPRINTED = {"corpus", "endpoint", "scripts", "workers", "cache_mode", "cache_dir", "out"}
-T = TypeVar("T")
 
 
 class ConfigError(RexGotError):
@@ -95,7 +94,6 @@ class RunConfig:
     cache_dir: str = _setting("cache directory", "cache")
     out: str = _setting("output directory", "out")
     seed: int = _setting("seed written into the report fingerprint", 0)
-    repeat: int = _setting("repeat the run and average the metrics", 1)
     max_tokens: int = _setting("completion token limit of each call", 512)
     max_prompt_tokens: int | None = _setting("estimated prompt token budget", None)
 
@@ -124,8 +122,6 @@ class RunConfig:
                 raise ConfigError(f"unknown {label} {value!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.repeat < 1:
-            raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
         if self.cache_mode != CACHE_REPLAY:
             if self.backend == "http" and not self.endpoint:
                 raise ConfigError("http backend requires --endpoint")
@@ -207,26 +203,6 @@ def _predict_one(
         return prediction, True
 
 
-def _averaged(items: Sequence[T], *names: str) -> T:
-    """The first of ``items`` with each named field set to its mean over all of them."""
-    means = {}
-    for name in names:
-        values = [getattr(item, name) for item in items]
-        # Identical repeats must stay byte-identical, so short-circuit them.
-        same = all(v == values[0] for v in values)
-        means[name] = values[0] if same else sum(values) / len(values)
-    return replace(items[0], **means)
-
-
-def _average_reports(reports: Sequence[EvalReport]) -> EvalReport:
-    buckets = {
-        size: _averaged([r.by_gold_count[size] for r in reports], "macro_f1", "em")
-        for size in reports[0].by_gold_count
-    }
-    averaged = _averaged(reports, "macro_f1", "exact_match")
-    return replace(averaged, by_gold_count=buckets, repeats=len(reports))
-
-
 def cmd_run(config: RunConfig) -> int:
     reasoner_config = config.validate()
     strategy = Strategy(config.strategy)
@@ -236,7 +212,7 @@ def cmd_run(config: RunConfig) -> int:
     instances = sorted(corpus.instances, key=lambda instance: instance.id)
     fingerprint = config.fingerprint()
 
-    reports = []
+    predictions = []
     failures = 0
     # Instances run on one pool, their fanned-out rex_got calls on another:
     # at most K·m calls per instance, so in-flight calls stay <= workers·K·m.
@@ -260,31 +236,27 @@ def cmd_run(config: RunConfig) -> int:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
         # Line-buffered: each instance's line is on disk once its result is in.
         with (out_dir / "predictions.jsonl").open("w", encoding="utf-8", buffering=1) as lines:
-            for repeat_index in range(config.repeat):
-                predictions = []
-                for instance, (prediction, failed) in zip(
-                    instances, instance_pool.map(predict, instances)
-                ):
-                    failures += failed
-                    if repeat_index == 0:
-                        paths = prediction.paths
-                        record = prediction_record(prediction) | {"n_paths": len(paths)}
-                        lines.write(json.dumps(record, sort_keys=True) + "\n")
-                        # Only rex_got predictions carry paths; a failed instance has none.
-                        graph = build_graph(instance, paths) if paths else None
-                        trace = build_trace(instance, prediction, graph)
-                        (out_dir / "traces" / f"{instance.id}.json").write_text(
-                            json.dumps(trace, sort_keys=True, indent=2) + "\n", "utf-8"
-                        )
-                    # Scoring needs only the chosen sets; the raw texts can go.
-                    predictions.append(replace(prediction, paths=()))
-                reports.append(evaluate(predictions, corpus, config_fingerprint=fingerprint))
+            for instance, (prediction, failed) in zip(
+                instances, instance_pool.map(predict, instances)
+            ):
+                failures += failed
+                paths = prediction.paths
+                record = prediction_record(prediction) | {"n_paths": len(paths)}
+                lines.write(json.dumps(record, sort_keys=True) + "\n")
+                # Only rex_got predictions carry paths; a failed instance has none.
+                graph = build_graph(instance, paths) if paths else None
+                trace = build_trace(instance, prediction, graph)
+                (out_dir / "traces" / f"{instance.id}.json").write_text(
+                    json.dumps(trace, sort_keys=True, indent=2) + "\n", "utf-8"
+                )
+                # Scoring needs only the chosen sets; the raw texts can go.
+                predictions.append(replace(prediction, paths=()))
     finally:
         # Instances first: a running instance may still wait on its calls.
         instance_pool.shutdown(cancel_futures=True)
         call_pool.shutdown(cancel_futures=True)
         _close(backend)
-    report = _average_reports(reports)
+    report = evaluate(predictions, corpus, config_fingerprint=fingerprint)
     write_report_files(report, out_dir)
 
     print(

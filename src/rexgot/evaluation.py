@@ -124,7 +124,6 @@ class EvalReport:
     exact_match: float
     by_gold_count: Mapping[int, BucketScore] = field(default_factory=dict)
     config_fingerprint: str = ""
-    repeats: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "by_gold_count", dict(self.by_gold_count))
@@ -137,8 +136,6 @@ class EvalReport:
             )
         if any(size < 1 for size in self.by_gold_count):
             raise ValueError(f"gold counts must be >= 1, got {sorted(self.by_gold_count)}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         _check_scores({"macro_f1": self.macro_f1, "exact_match": self.exact_match})
 
     def to_json_dict(self) -> dict[str, Any]:

@@ -11,13 +11,12 @@ for another: since exclusions inform and never prune, every step-2
 verdict call depends only on its path's step-1 sample, and each path's
 step-3 call only on that path's verdicts. The calls run on a thread
 pool, so an instance costs three round trips instead of 1 + K·(m+1).
-A step-1 sample that does not parse is asked again once. The retries of
+A reply that does not parse is asked again once, and only when its step
+samples (temperature > 0): a greedy resend is the same request, so a
+cache or a deterministic server repeats the reply. The step-1 retries of
 one instance are asked one at a time in sample order, and a retried path
 goes on as soon as its own retry returns; the paths whose samples parsed
-do not wait for any retry. A later step's reply that does not parse is
-asked again once only when that step samples (temperature > 0): a greedy
-resend is the same request, so a cache or a deterministic server repeats
-the reply. Paths whose step-1 samples agree ask
+do not wait for any retry. Paths whose step-1 samples agree ask
 byte-identical greedy questions, and each such question is rendered
 and asked once per instance, so the number of calls is a function of the
 step-1 texts alone. Distinct instances may be processed concurrently by
@@ -413,10 +412,12 @@ def _rex_got(
             for i in range(instance.m)
         ]
 
-    # A sample that did not parse is asked again once. Its retries are equal
+    # A sample that did not parse is asked again once if step 1 samples (see
+    # _ask); else its path goes on with its own text. Retries are equal
     # requests, asked one at a time in sample order, so a recording cache
     # answers the later ones with the first one's reply, as its replay will.
-    failed = [path_id for path_id, a1 in enumerate(exclusions) if a1.parse_failed]
+    sampled = config.temperature_step1 > 0
+    failed = [path_id for path_id, a1 in enumerate(exclusions) if a1.parse_failed and sampled]
     retry = _request(prompt, config, 1, config.temperature_step1)
 
     def retry_next() -> Future | None:
@@ -432,7 +433,7 @@ def _rex_got(
         # path. The first retry is asked before any verdict: the retries are
         # the instance's longest chain.
         retrying = retry_next()
-        grid = [None if a1.parse_failed else verdicts(a1) for a1 in exclusions]
+        grid = [None if i in failed else verdicts(a1) for i, a1 in enumerate(exclusions)]
         # Step 3 is one combining call per path, asked once that path's row is done.
         combining: list[Future | None] = [None] * len(grid)
         while running:

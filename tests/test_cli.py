@@ -20,7 +20,6 @@ from rexgot.backend import SEGMENT_DIR, Completion
 from rexgot.cli import RunConfig, main
 from rexgot.dataset import Corpus, save_corpus
 from rexgot.evaluation import evaluate
-from rexgot.model import Prediction, Strategy
 from rexgot.prompts import EXCLUSION_HEADER, VERDICTS_HEADER
 from rexgot.reasoner import ReasonerConfig
 
@@ -184,16 +183,6 @@ def test_replay_determinism_with_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_repeat_runs_are_deterministic_and_labeled(tmp_path, bob_movie_setup):
-    corpus_path, scripts_path = bob_movie_setup
-    out_a = tmp_path / "rep-a"
-    out_b = tmp_path / "rep-b"
-    for out_dir in (out_a, out_b):
-        assert main(run_args(corpus_path, scripts_path, out_dir, "--repeat", "2")) == 0
-    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
-    assert json.loads((out_a / "report.json").read_text())["repeats"] == 2
-
-
 def test_partial_failures_recorded_not_fatal(tmp_path, bob_movie_instance, capsys):
     # Two-instance corpus but scripts only cover the first: the second
     # instance fails with a script miss and must surface as a degenerate
@@ -274,7 +263,6 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
         pytest.param({"backend": "bogus"}, [], "unknown backend kind 'bogus'", id="backend"),
         pytest.param({"cache_mode": "bogus"}, [], "unknown cache mode 'bogus'", id="cache_mode"),
         pytest.param({}, ["--workers", "0"], "workers must be >= 1, got 0", id="workers_below_1"),
-        pytest.param({}, ["--repeat", "0"], "repeat must be >= 1, got 0", id="repeat_below_1"),
         pytest.param({"scripts": ""}, [], "scripted backend requires --scripts", id="no_scripts"),
     ],
 )
@@ -290,6 +278,21 @@ def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings
     code = main(args)
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_repeat_is_neither_a_config_key_nor_a_flag(tmp_path, bob_movie_setup, capsys):
+    corpus_path, scripts_path = bob_movie_setup
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"repeat": 2}))
+    args = run_args(corpus_path, scripts_path, out_dir)
+    assert main([*args, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key(s): repeat\n"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--repeat", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --repeat 2" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -612,65 +615,6 @@ def test_run_ended_by_a_non_backend_error_keeps_the_finished_prefix(tmp_path, mo
     assert not (out_dir / "report.json").exists()
 
 
-class ChangingBackend:
-    """Answers "Answer: A" the first time it is asked a prompt, "Answer: A, B" after."""
-
-    def __init__(self):
-        self.asked = set()
-        self.lock = threading.Lock()
-
-    def complete(self, request):
-        with self.lock:
-            again = request.prompt in self.asked
-            self.asked.add(request.prompt)
-        return [Completion(text="Answer: A, B" if again else "Answer: A")] * request.n_samples
-
-
-def test_repeats_that_differ_are_averaged(tmp_path, monkeypatch):
-    config = _held_run_config(tmp_path, monkeypatch, ChangingBackend())
-    # Distinct options give each instance its own prompt.
-    instances = tuple(
-        make_instance(f"r{i}", gold=gold, option_prefix=f"r{i}")
-        for i, gold in ((1, (0,)), (2, (0,)), (3, (0, 1)))
-    )
-    corpus = Corpus(name="changing", instances=instances)
-    save_corpus(corpus, config.corpus)
-    config.strategy, config.repeat = "standard", 2
-    assert cli.cmd_run(config) == 0
-    runs = [
-        evaluate(
-            [Prediction(instance_id=i.id, strategy=Strategy.STANDARD, chosen=frozenset(chosen))
-             for i in instances],
-            corpus,
-        )
-        for chosen in ({0}, {0, 1})
-    ]
-    assert runs[0].exact_match != runs[1].exact_match
-    out_dir = tmp_path / "out"
-    report = json.loads((out_dir / "report.json").read_text())
-    assert report["repeats"] == 2
-    assert report["n_instances"] == 3
-    assert report["macro_f1"] == pytest.approx((runs[0].macro_f1 + runs[1].macro_f1) / 2)
-    assert report["exact_match"] == pytest.approx((runs[0].exact_match + runs[1].exact_match) / 2)
-    assert report["by_gold_count"] == {
-        str(size): {
-            "n": runs[0].by_gold_count[size].n,
-            "macro_f1": pytest.approx(
-                (runs[0].by_gold_count[size].macro_f1 + runs[1].by_gold_count[size].macro_f1) / 2
-            ),
-            "em": pytest.approx(
-                (runs[0].by_gold_count[size].em + runs[1].by_gold_count[size].em) / 2
-            ),
-        }
-        for size in (1, 2)
-    }
-    # The written predictions are those of the first repeat.
-    lines = [json.loads(line) for line in (out_dir / "predictions.jsonl").read_text().splitlines()]
-    assert [(line["instance_id"], line["chosen"]) for line in lines] == [
-        ("r1", [0]), ("r2", [0]), ("r3", [0]),
-    ]
-
-
 def test_compare_command_five_reports(tmp_path, capsys):
     report_paths = []
     for k, strategy in enumerate(["standard", "cot", "rex_got", "forward", "backward"]):
@@ -691,13 +635,21 @@ def test_compare_command_five_reports(tmp_path, capsys):
     body = [l for l in out.splitlines() if l and not l.startswith(("strategy", "-"))]
     assert len(body) == 5
     assert body[0].startswith("backward")
-    # --json rounds to 2 decimals and leaves a strategy's missing corpus null.
+    # A strategy's missing corpus is "-" in the text table and null in --json,
+    # which rounds to 2 decimals.
     other = tmp_path / "report-other.json"
     other.write_text(json.dumps({
         "strategy": "cot", "corpus_name": "other", "n_instances": 3,
         "macro_f1": 2 / 3, "exact_match": 1 / 3,
         "by_gold_count": {"1": {"n": 3, "macro_f1": 2 / 3, "em": 1 / 3}},
     }))
+    assert main(["compare", report_paths[0], str(other)]) == 0
+    assert capsys.readouterr().out == (
+        "strategy  other/F1  other/EM  toy/F1  toy/EM\n"
+        "--------  --------  --------  ------  ------\n"
+        "cot       0.67      0.33      -       -\n"
+        "standard  -         -         0.50    0.25\n"
+    )
     assert main(["compare", "--json", report_paths[0], str(other)]) == 0
     assert capsys.readouterr().out == """{
   "corpora": [
@@ -742,6 +694,21 @@ def test_compare_single_report(tmp_path, capsys):
     assert "cot" in capsys.readouterr().out
 
 
+def test_compare_ignores_a_report_key_it_does_not_know(tmp_path, capsys):
+    # Older reports hold "repeats", the count of averaged runs; it no longer exists.
+    paths = []
+    for name, extra in (("now", {}), ("old", {"repeats": 2})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**GOOD_REPORT, **extra}))
+        paths.append(path)
+    outputs = []
+    for path in paths:
+        assert main(["compare", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[1].splitlines()[2] == "cot       1.00  1.00"
+
+
 def test_compare_unreadable_report(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -759,7 +726,7 @@ def test_compare_deeply_nested_report(tmp_path, capsys):
 GOOD_REPORT = {
     "strategy": "cot", "corpus_name": "c", "n_instances": 1, "macro_f1": 1.0,
     "exact_match": 1.0, "by_gold_count": {"1": {"n": 1, "macro_f1": 1.0, "em": 1.0}},
-    "config_fingerprint": "x", "repeats": 1,
+    "config_fingerprint": "x",
 }
 
 
@@ -774,12 +741,10 @@ GOOD_REPORT = {
             {"by_gold_count": {"1": {"n": 1, "macro_f1": "1", "em": 1.0}}}, id="string_bucket_f1"
         ),
         pytest.param({"strategy": 3}, id="numeric_strategy"),
-        pytest.param({"repeats": "x"}, id="string_repeats"),
         pytest.param({"n_instances": True}, id="bool_count"),
         pytest.param({"exact_match": True}, id="bool_score"),
         pytest.param({"config_fingerprint": None}, id="null_fingerprint"),
         pytest.param({"corpus_name": None}, id="null_corpus"),
-        pytest.param({"repeats": 0}, id="no_repeats"),
         pytest.param({"by_gold_count": {"0": GOOD_REPORT["by_gold_count"]["1"]}},
                      id="gold_count_0"),
         pytest.param({"by_gold_count": {"1": {"n": 1, "macro_f1": math.nan, "em": 1.0}}},
@@ -984,17 +949,12 @@ def _output_digests(out_dir):
 
 GOLDEN_BOB_MOVIE = {
     "predictions.jsonl": "47680a65347e67b764b5286a4f5a5aeddc7bffd0d8e6d55ad315fff4f6a4d466",
-    "report.json": "2ca7f574b896c74ee664aea4c4cf6c3dd1e5dedff0a3f59de39e831538b1f910",
-    "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
-}
-GOLDEN_BOB_MOVIE_REPEAT_2 = {
-    "predictions.jsonl": "47680a65347e67b764b5286a4f5a5aeddc7bffd0d8e6d55ad315fff4f6a4d466",
-    "report.json": "10328e8cbd0639704cdc3e9d3f0f0bbc9665066b6d1e46e336bf4c18fd5a95d7",
+    "report.json": "c0b33a5d75d356232ef8ae91873075cbec711c754f8da3187f3de7653060788b",
     "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
 }
 GOLDEN_PARTIAL_FAILURE = {
     "predictions.jsonl": "70c37dde1cebfec8e7885504b9a2c685481ada30018e709df342227c497be6ee",
-    "report.json": "8acd94ac30920609f9be7ba342ed7254003f300cd5b0f516a04db54500278617",
+    "report.json": "9a28a2bae98b866435e5a6f405144a9894e92d17142cdf394320fd0ba163bbef",
     "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
     "traces/uncovered.json": "d8fa5c1ce24110b869aa9f6257f2248ffe5f58e70cf2fecb9ccca528b287b286",
 }
@@ -1011,10 +971,6 @@ def test_golden_output_bytes(tmp_path, bob_movie_instance):
     assert main(run_args(corpus_path, scripts_path, tmp_path / "one")) == 0
     assert _output_digests(tmp_path / "one") == GOLDEN_BOB_MOVIE
 
-    assert main(run_args(corpus_path, scripts_path, tmp_path / "two", "--repeat", "2")) == 0
-    assert _output_digests(tmp_path / "two") == GOLDEN_BOB_MOVIE_REPEAT_2
-    trace = "traces/bob-movie-1.json"
-    assert GOLDEN_BOB_MOVIE_REPEAT_2[trace] == GOLDEN_BOB_MOVIE[trace]
 
     other = make_instance("uncovered", m=3, gold=(1,))
     partial_path = tmp_path / "two.jsonl"
@@ -1030,7 +986,7 @@ SETTING_VALUES = {
     "endpoint": "http://localhost:1", "model": "m", "scripts": "s.json", "k": 5,
     "temp_step1": 0.5, "temp_step2": 0.25, "temp_step3": 0.125, "vote_policy": "path_plurality",
     "tie_break": "prefer_include", "workers": 2, "cache_mode": "record", "cache_dir": "c",
-    "out": "o", "seed": 7, "repeat": 2, "max_tokens": 64, "max_prompt_tokens": 900,
+    "out": "o", "seed": 7, "max_tokens": 64, "max_prompt_tokens": 900,
 }
 # The settings that say where inputs, outputs and the server are, or how a run is spread.
 UNFINGERPRINTED = {"corpus", "endpoint", "scripts", "workers", "cache_mode", "cache_dir", "out"}
@@ -1064,7 +1020,7 @@ def test_run_help_lists_every_setting(capsys):
 def test_fingerprint_covers_every_setting_but_locations_and_spread():
     base = RunConfig(corpus="c", strategy="rex_got")
     digest = base.fingerprint()
-    assert digest == "f67503297145e53473f95ed5bb488c2b3469e57a182db8c189624d79789a4f46"
+    assert digest == "968297942c17ab85a2365f88707114b3fa0cb1e296cb5d1d0b77164a90feb879"
     for name, value in SETTING_VALUES.items():
         changed = replace(base, **{name: value}).fingerprint()
         assert (changed == digest) == (name in UNFINGERPRINTED), name

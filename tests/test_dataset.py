@@ -370,6 +370,25 @@ def test_release_adapter_index_answers(tmp_path):
     assert inst.dialogue[0].speaker == "A"
 
 
+def test_release_adapter_turn_objects_load_as_speaker_lines(tmp_path):
+    record = release_record()
+    record["Dialogue"] = [
+        {"speaker": "A", "text": "It is sunny today."},
+        {"speaker": "B", "text": "Let us do something outside."},
+    ]
+    as_lines = load_corpus(write_lines(tmp_path / "lines.jsonl", [release_record()]),
+                           format="cicero_release")
+    as_objects = load_corpus(write_lines(tmp_path / "objects.jsonl", [record]),
+                             format="cicero_release")
+    assert as_objects.instances == as_lines.instances
+
+
+def test_release_adapter_type_becomes_inference_type(tmp_path):
+    record = {**release_record(), "Type": "cause"}
+    corpus = load_corpus(write_lines(tmp_path / "rel.jsonl", [record]), format="cicero_release")
+    assert corpus.instances[0].inference_type == "cause"
+
+
 def test_release_adapter_text_answers_resolved(tmp_path):
     path = write_lines(tmp_path / "rel.jsonl", [release_record(answers=(1, 3), as_text=True)])
     corpus = load_corpus(path, format="cicero_release")

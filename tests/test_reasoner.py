@@ -266,6 +266,23 @@ def test_step1_garbage_retries_then_degenerates(bob_movie_instance):
     assert len(step_requests(wrapper.requests, 1)) == 2  # first sample plus one retry
 
 
+def test_step1_greedy_unparseable_samples_are_not_retried():
+    # At temperature 0 an n=1 resend would repeat the greedy reply, so each
+    # failed sample's path goes on with its own text at once.
+    instance = make_instance(m=3)
+    wrapper = CountingWrapper(ScriptedBackend(default_responses=["shrug"]))
+    config = ReasonerConfig(k=3, temperature_step1=0.0)
+    prediction = run_strategy(instance, Strategy.REX_GOT, wrapper, config)
+    step1 = step_requests(wrapper.requests, 1)
+    assert [(r.n_samples, r.temperature) for r in step1] == [(3, 0.0)]
+    # The three paths ask equal greedy questions: m verdict calls and one combining call.
+    assert len(wrapper.requests) == 1 + instance.m + 1
+    assert [(p.a1.parse_failed, p.a1.raw_text, p.degenerate) for p in prediction.paths] == [
+        (True, "shrug", True)
+    ] * 3
+    assert prediction.chosen == frozenset(range(instance.m))
+
+
 def one_path(instance, backend, config=ReasonerConfig()):
     """Run rex_got with K=1 on a one-worker pool and return its only path.
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -76,8 +77,10 @@ class Handler(BaseHTTPRequestHandler):
 class Server(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), Handler)
+    def __init__(self, host="127.0.0.1"):
+        if ":" in host:
+            self.address_family = socket.AF_INET6
+        super().__init__((host, 0), Handler)
         self.lock = threading.Lock()
         self.connections = 0
         self.paths: list[str] = []
@@ -85,7 +88,8 @@ class Server(ThreadingHTTPServer):
         self.request_headers: list = []
         self.replies: list[tuple[int, dict, bytes]] = []
         self.drop_after_reply = False
-        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        bracketed = f"[{host}]" if ":" in host else host
+        self.url = f"http://{bracketed}:{self.server_address[1]}"
 
 
 @pytest.fixture(autouse=True)
@@ -95,9 +99,8 @@ def no_proxy_environment(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
 
 
-@pytest.fixture
-def server():
-    srv = Server()
+@contextmanager
+def serving(srv: Server):
     thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
     try:
@@ -106,6 +109,12 @@ def server():
         srv.shutdown()
         srv.server_close()
         thread.join(timeout=10)
+
+
+@pytest.fixture
+def server():
+    with serving(Server()) as srv:
+        yield srv
 
 
 def request(prompt="hi"):
@@ -150,6 +159,17 @@ def test_credential_and_content_type_on_the_wire(server, monkeypatch, api_key):
     assert headers["Host"] == server.url.removeprefix("http://")
 
 
+def test_ipv6_literal_host_header_is_bracketed():
+    with serving(Server("::1")) as srv:
+        backend = HTTPBackend(srv.url, timeout=10, max_retries=0)
+        try:
+            assert backend.complete(request())[0].text == "ok"
+        finally:
+            backend.close()
+    (headers,) = srv.request_headers
+    assert headers["Host"] == f"[::1]:{srv.server_address[1]}"
+
+
 def test_reconnects_once_after_server_closed_idle_connection(server):
     server.drop_after_reply = True
     backend = HTTPBackend(server.url, timeout=10, max_retries=0)
@@ -181,6 +201,28 @@ def test_429_retry_after_in_any_case_is_rate_limited(server, header):
     finally:
         backend.close()
     assert info.value.after == 3.0
+
+
+def test_429_with_an_http_date_retry_after_waits_the_default(server):
+    # Only a number of seconds is read; a date counts as absent: 1.0 s.
+    date = "Wed, 21 Oct 2026 07:28:00 GMT"
+    server.replies = [(429, {"Retry-After": date}, b""), (200, {}, chat_body("later"))]
+    sleeps = []
+    backend = HTTPBackend(server.url, timeout=10, sleeper=sleeps.append)
+    try:
+        assert backend.complete(request())[0].text == "later"
+    finally:
+        backend.close()
+    assert sleeps == [1.0]
+
+    server.replies = [(429, {"Retry-After": date}, b"")]
+    backend = HTTPBackend(server.url, timeout=10, max_retries=0)
+    try:
+        with pytest.raises(RateLimited) as info:
+            backend.complete(request())
+    finally:
+        backend.close()
+    assert info.value.after == 1.0
 
 
 def test_5xx_is_transport_error(server):
