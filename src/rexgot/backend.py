@@ -71,13 +71,14 @@ class ReplayMiss(BackendError):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One decoding request; ``n_samples`` asks for that many sampled paths."""
+    """One decoding request for ``n_samples`` paths; ``seed`` tells sampled draws apart."""
 
     prompt: str
     n_samples: int = 1
     temperature: float = 0.0
     max_tokens: int = 512
     model_name: str = ""
+    seed: int | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -548,6 +549,8 @@ class HTTPBackend:
             "n": request.n_samples,
             "max_tokens": request.max_tokens,
         }
+        if request.seed is not None:  # greedy bodies stay as they were
+            body["seed"] = request.seed
         attempt = 0
         while True:
             try:
@@ -614,7 +617,7 @@ def _decode(samples: list[tuple[Any, Any, Any]], n_samples: int, source: str) ->
     return [Completion(*sample) for sample in samples]
 
 
-SEGMENT_DIR = "v3"  # the on-disk format's version; a new format takes a new name
+SEGMENT_DIR = "v4"  # the on-disk format's version; a new format takes a new name
 _ENTRY_HEAD = re.compile(rb'\{"digest":"([0-9a-f]{64})",')
 _SCAN_BYTES = 65536
 
@@ -622,7 +625,7 @@ _SCAN_BYTES = 65536
 class CachingBackend:
     """Content-addressed, append-only file cache around another backend.
 
-    Layout: ``<cache_dir>/v3/<pid>-<random hex>.jsonl`` segments. Each
+    Layout: ``<cache_dir>/v4/<pid>-<random hex>.jsonl`` segments. Each
     backend appends the entries it stores to a segment of its own,
     created on its first store, one line per request digest:
     ``{"digest":"<sha256>",`` then the completion list and the request

@@ -93,7 +93,7 @@ class RunConfig:
     cache_mode: str = _setting("cache mode", CACHE_OFF)
     cache_dir: str = _setting("cache directory", "cache")
     out: str = _setting("output directory", "out")
-    seed: int = _setting("seed written into the report fingerprint", 0)
+    seed: int = _setting("seed of the sampled calls", 0)
     max_tokens: int = _setting("completion token limit of each call", 512)
     max_prompt_tokens: int | None = _setting("estimated prompt token budget", None)
 
@@ -111,6 +111,7 @@ class RunConfig:
                     kind=VoteKind(self.vote_policy), tie_break=TieBreak(self.tie_break)
                 ),
                 max_prompt_tokens=self.max_prompt_tokens,
+                seed=self.seed,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -88,7 +88,7 @@ def load_corpus(path: str | Path, format: str = CANONICAL, name: str | None = No
     path = Path(path)
     instances = []
     seen_ids: set[str] = set()
-    # Lines are decoded one at a time, so a byte that is not UTF-8 names its line.
+    # Each line is decoded on its own, so a byte that is not UTF-8 names its line.
     with path.open("rb") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
             try:

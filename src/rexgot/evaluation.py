@@ -161,7 +161,7 @@ def evaluate(
     corpus: Corpus,
     config_fingerprint: str = "",
 ) -> EvalReport:
-    """Score predictions against a corpus they must cover exactly once each."""
+    """Score predictions of one strategy against a corpus they must cover exactly once each."""
     by_id = corpus.by_id()
     seen: set[str] = set()
     unknown: list[str] = []
@@ -177,6 +177,9 @@ def evaluate(
 
     if not predictions:
         raise EmptyInput("cannot evaluate zero predictions")
+    strategies = sorted({prediction.strategy.value for prediction in predictions})
+    if len(strategies) > 1:
+        raise ValueError(f"predictions of more than one strategy: {', '.join(strategies)}")
     pairs = []
     by_size: dict[int, list] = {}
     for prediction in sorted(predictions, key=lambda p: p.instance_id):
@@ -186,7 +189,7 @@ def evaluate(
         by_size.setdefault(len(instance.gold), []).append(pair)
 
     return EvalReport(
-        strategy=predictions[0].strategy.value,
+        strategy=strategies[0],
         corpus_name=corpus.name,
         n_instances=len(pairs),
         macro_f1=macro_f1(pairs),

@@ -11,16 +11,17 @@ for another: since exclusions inform and never prune, every step-2
 verdict call depends only on its path's step-1 sample, and each path's
 step-3 call only on that path's verdicts. The calls run on a thread
 pool, so an instance costs three round trips instead of 1 + K·(m+1).
-A reply that does not parse is asked again once, and only when its step
-samples (temperature > 0): a greedy resend is the same request, so a
-cache or a deterministic server repeats the reply. The step-1 retries of
-one instance are asked one at a time in sample order, and a retried path
-goes on as soon as its own retry returns; the paths whose samples parsed
-do not wait for any retry. Paths whose step-1 samples agree ask
-byte-identical greedy questions, and each such question is rendered
-and asked once per instance, so the number of calls is a function of the
-step-1 texts alone. Distinct instances may be processed concurrently by
-callers.
+Every sampled call (temperature > 0) carries a seed of its own, made from
+the run's seed, its path and its attempt, so a cache never answers one
+draw with another's reply. A reply that does not parse is asked again
+once, and only when its step samples: a greedy resend is the same request,
+so a cache or a deterministic server repeats the reply. The step-1 retries
+are asked together, and a retried path goes on as soon as its own retry
+returns; the paths whose samples parsed do not wait for any retry. Paths
+whose step-1 samples agree ask byte-identical greedy questions, and each
+is rendered and asked once per instance, so the number of calls is a
+function of the step-1 texts alone. Distinct instances may be processed
+concurrently by callers.
 Results do not depend on the order in which calls finish: with a replay
 cache and fixed config every strategy is a pure function of its inputs.
 """
@@ -86,6 +87,7 @@ class ReasonerConfig:
     max_tokens: int = 512
     vote_policy: VotePolicy = field(default_factory=VotePolicy)
     max_prompt_tokens: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
@@ -97,6 +99,8 @@ class ReasonerConfig:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.max_prompt_tokens is not None and self.max_prompt_tokens < 1:
             raise ValueError(f"max_prompt_tokens must be >= 1, got {self.max_prompt_tokens}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -216,14 +220,13 @@ def vote(
     return chosen, tally
 
 
-def _request(prompt: str, config: ReasonerConfig, n: int, temperature: float) -> CompletionRequest:
-    return CompletionRequest(
-        prompt=prompt,
-        n_samples=n,
-        temperature=temperature,
-        max_tokens=config.max_tokens,
-        model_name=config.model_name,
-    )
+def _request(
+    prompt: str, config: ReasonerConfig, n: int, temperature: float, path_id: int = 0,
+    attempt: int = 0,
+) -> CompletionRequest:
+    # Distinct (run seed, path < K, attempt < 2) give distinct seeds to sampled draws.
+    seed = (config.seed * config.k + path_id) * 2 + attempt if temperature > 0 else None
+    return CompletionRequest(prompt, n, temperature, config.max_tokens, config.model_name, seed)
 
 
 T = TypeVar("T")
@@ -235,17 +238,18 @@ def _ask(
     temperature: float,
     backend: Backend,
     config: ReasonerConfig,
+    path_id: int = 0,
 ) -> tuple[T | None, str]:
     """Complete ``prompt`` with one sample and parse it; a sampled call retries once.
 
     ``Unparseable``, ``EmptySet`` and an empty set count as failures. Only
-    a call with ``temperature`` > 0 is asked again: at temperature 0 the
-    resend is the same request, which a cache answers from the failed
-    attempt's entry and a deterministic server answers with the same text.
-    Returns (parsed value or None, last text).
+    a call with ``temperature`` > 0 is asked again, as a draw with its own
+    seed: at temperature 0 the resend is the same request, which a cache
+    answers from the failed attempt's entry and a deterministic server
+    answers with the same text. Returns (parsed value or None, last text).
     """
-    request = _request(prompt, config, 1, temperature)
-    for _ in range(2 if temperature > 0 else 1):
+    for attempt in range(2 if temperature > 0 else 1):
+        request = _request(prompt, config, 1, temperature, path_id, attempt)
         text = backend.complete(request)[0].text
         try:
             parsed = parse(text)
@@ -352,12 +356,13 @@ def run_strategy(
 
     ``rex_got`` runs every call after its step-1 call on ``pool``, a
     thread pool whose tasks never wait on each other; each task asks one
-    question, and the step-1 retries are asked one at a time. One instance
-    keeps at most K·m calls in flight. Without a pool, one that wide is
-    created for the call. Greedy step-2 and step-3 questions that several
-    paths ask alike are asked once, so ``backend`` needs no wrapper to
-    share them. The other strategies make every call on the calling
-    thread. A backend error reaches the caller as the backend raised it.
+    question, and the step-1 retries are asked together, each as a draw
+    of its own. One instance keeps at most K·m calls in flight. Without a
+    pool, one that wide is created for the call. Greedy step-2 and step-3
+    questions that several paths ask alike are asked once, so ``backend``
+    needs no wrapper to share them. The other strategies make every call
+    on the calling thread. A backend error reaches the caller as the
+    backend raised it.
     """
     config = config or ReasonerConfig()
     if strategy in _BASELINES:
@@ -389,8 +394,8 @@ def _rex_got(
     running: set[Future] = set()  # calls asked and not yet seen to finish
 
     def ask(
-        kind: PromptKind, key: tuple, parse: Callable[[str], object], temperature: float,
-        **stage_inputs,
+        path_id: int, kind: PromptKind, key: tuple, parse: Callable[[str], object],
+        temperature: float, **stage_inputs,
     ) -> Future:
         future = shared.get(key)
         if future is None:
@@ -399,58 +404,50 @@ def _rex_got(
             prompt = render_prompt(
                 instance, kind, max_prompt_tokens=config.max_prompt_tokens, **stage_inputs
             )
-            future = pool.submit(_ask, prompt, parse, temperature, backend, config)
+            future = pool.submit(_ask, prompt, parse, temperature, backend, config, path_id)
             if temperature == 0:
                 shared[key] = future
         running.add(future)
         return future
 
-    def verdicts(a1: ExclusionResult) -> list[Future]:
+    def verdicts(path_id: int, a1: ExclusionResult) -> list[Future]:
         return [
-            ask(PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
+            ask(path_id, PromptKind.STEP2_VERDICT, (a1.raw_text, i), parse_verdict,
                 config.temperature_step2, a1=a1.raw_text, option_index=i)
             for i in range(instance.m)
         ]
 
-    # A sample that did not parse is asked again once if step 1 samples (see
-    # _ask); else its path goes on with its own text. Retries are equal
-    # requests, asked one at a time in sample order, so a recording cache
-    # answers the later ones with the first one's reply, as its replay will.
-    sampled = config.temperature_step1 > 0
-    failed = [path_id for path_id, a1 in enumerate(exclusions) if a1.parse_failed and sampled]
-    retry = _request(prompt, config, 1, config.temperature_step1)
-
-    def retry_next() -> Future | None:
-        if not failed:
-            return None
-        future = pool.submit(backend.complete, retry)
-        running.add(future)
-        return future
-
     try:
+        # A sample that did not parse is asked again once if step 1 samples (see
+        # _ask), as a draw of its own; else its path goes on with its own text.
+        # The retries are asked before any verdict: they are the longest chain.
+        t1 = config.temperature_step1
+        retries = {  # each retry's future, to the path it answers
+            pool.submit(backend.complete, _request(prompt, config, 1, t1, path_id, 1)): path_id
+            for path_id, a1 in enumerate(exclusions) if a1.parse_failed and t1 > 0
+        }
+        running.update(retries)
         # Step 2 is a K×m grid of verdict calls; a path's row is asked once
-        # its exclusion parsed, so a sample that needs a retry holds no other
-        # path. The first retry is asked before any verdict: the retries are
-        # the instance's longest chain.
-        retrying = retry_next()
-        grid = [None if i in failed else verdicts(a1) for i, a1 in enumerate(exclusions)]
+        # its exclusion parsed, so a sample that needs a retry holds no other path.
+        grid = [
+            None if i in retries.values() else verdicts(i, a1) for i, a1 in enumerate(exclusions)
+        ]
         # Step 3 is one combining call per path, asked once that path's row is done.
         combining: list[Future | None] = [None] * len(grid)
         while running:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             running -= done
             for future in done:
-                future.result()  # a failed call fails the instance at once
-            if retrying in done:
-                path_id = failed.pop(0)
-                exclusions[path_id] = _exclusion(retrying.result()[0].text, instance.m)
-                grid[path_id] = verdicts(exclusions[path_id])
-                retrying = retry_next()
+                result = future.result()  # a failed call fails the instance at once
+                if future in retries:
+                    path_id = retries[future]
+                    exclusions[path_id] = _exclusion(result[0].text, instance.m)
+                    grid[path_id] = verdicts(path_id, exclusions[path_id])
             for path_id, (a1, row) in enumerate(zip(exclusions, grid)):
                 if row and combining[path_id] is None and all(f.done() for f in row):
                     texts = {i: f.result()[1] for i, f in enumerate(row)}
                     combining[path_id] = ask(
-                        PromptKind.STEP3_COMBINE, (a1.raw_text, tuple(texts.values())),
+                        path_id, PromptKind.STEP3_COMBINE, (a1.raw_text, tuple(texts.values())),
                         lambda t: parse_final_set(t, instance.m), config.temperature_step3,
                         a1=a1.raw_text, a2=texts,
                     )

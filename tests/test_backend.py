@@ -50,7 +50,9 @@ def test_cache_key_deterministic():
 
 
 def test_cache_key_sensitive_to_every_field():
-    changed = dict(prompt="other", n_samples=2, temperature=0.5, max_tokens=65, model_name="m2")
+    changed = dict(
+        prompt="other", n_samples=2, temperature=0.5, max_tokens=65, model_name="m2", seed=3
+    )
     assert sorted(changed) == sorted(field.name for field in fields(CompletionRequest))
     base = cache_key(request())
     for name, value in changed.items():
@@ -62,15 +64,17 @@ def test_cache_key_canonical_bytes_pinned():
     # drift across platforms or releases: replay caches depend on it.
     req = CompletionRequest(
         prompt="pinned prompt", n_samples=2, temperature=0.5,
-        max_tokens=32, model_name="pinned-model",
+        max_tokens=32, model_name="pinned-model", seed=7,
     )
     assert _canonical_request(req) == (
         b'{"max_tokens":32,"model_name":"pinned-model","n_samples":2,'
-        b'"prompt":"pinned prompt","temperature":0.5}'
+        b'"prompt":"pinned prompt","seed":7,"temperature":0.5}'
     )
     assert cache_key(req) == (
-        "e276e1261e5b18c7bd3093107ecf581c06515ece9a472448c8fa76e09dcca04a"
+        "1d5a374337e4877e1a10f899c035cf74e6610dda1338095d407103cda382705b"
     )
+    # A request without a seed keys it as null.
+    assert b'"seed":null' in _canonical_request(CompletionRequest(prompt="pinned prompt"))
 
 
 def test_scripted_returns_registered_responses_in_order():
@@ -228,6 +232,13 @@ def test_http_auth_error_never_retried():
     assert sleeps == []
 
 
+def test_http_status_that_is_neither_success_nor_error_is_protocol_error():
+    backend, calls = make_http([(404, {}, "no such route")], [])
+    with pytest.raises(ProtocolError, match="^HTTP 404: no such route$"):
+        backend.complete(request())
+    assert len(calls) == 1
+
+
 def test_http_protocol_error_on_bad_body():
     backend, calls = make_http([(200, {}, "not json at all")], [])
     with pytest.raises(ProtocolError):
@@ -371,8 +382,8 @@ def test_cache_layout_is_one_segment_per_backend(tmp_path):
     recorder = CachingBackend(CountingBackend(), cache_dir)
     for req in first:
         recorder.complete(req)
-    # The one place the layout's version is spelled out: a new key or line format bumps it.
-    assert list(cache_dir.iterdir()) == [cache_dir / "v3"]
+    # A new key or line format bumps SEGMENT_DIR, the layout's version.
+    assert list(cache_dir.iterdir()) == [cache_dir / SEGMENT_DIR]
     [segment] = segments(cache_dir)
     assert re.fullmatch(rf"{os.getpid()}-[0-9a-f]{{16}}\.jsonl", segment.name)
     heads = [line[:77] for line in segment.read_bytes().splitlines(True)]

@@ -263,6 +263,7 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
         pytest.param({"backend": "bogus"}, [], "unknown backend kind 'bogus'", id="backend"),
         pytest.param({"cache_mode": "bogus"}, [], "unknown cache mode 'bogus'", id="cache_mode"),
         pytest.param({}, ["--workers", "0"], "workers must be >= 1, got 0", id="workers_below_1"),
+        pytest.param({}, ["--seed", "-1"], "seed must be >= 0, got -1", id="negative_seed"),
         pytest.param({"scripts": ""}, [], "scripted backend requires --scripts", id="no_scripts"),
     ],
 )

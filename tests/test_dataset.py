@@ -172,6 +172,8 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             VALID_LINE.replace(FIRST_TURN, b'{"speaker": "A"}'), ValidationFailed,
             "dialogue turn {'speaker': 'A'} has no text", id="turn_without_text",
         ),
+        pytest.param(b"[" + VALID_LINE + b"]", MalformedLine, "expected a JSON object",
+                     id="json_not_an_object"),
     ],
 )
 def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
@@ -408,6 +410,13 @@ def test_release_adapter_unresolvable_text_is_hard_error(tmp_path):
     record["Correct Answers"] = ["something that is not an option"]
     path = write_lines(tmp_path / "rel.jsonl", [record])
     with pytest.raises(ValidationFailed):
+        load_corpus(path, format="cicero_release")
+
+
+def test_release_adapter_boolean_answer_is_hard_error(tmp_path):
+    record = {**release_record(), "Correct Answers": [True]}
+    path = write_lines(tmp_path / "rel.jsonl", [record])
+    with pytest.raises(ValidationFailed, match="line 1: record r1: boolean answer True"):
         load_corpus(path, format="cicero_release")
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -142,6 +143,13 @@ def test_evaluate_unknown_instance():
     stray = Prediction(instance_id="ghost", strategy=Strategy.STANDARD, chosen=frozenset({0}))
     with pytest.raises(UnknownInstance):
         evaluate(predictions + [stray], corpus)
+
+
+def test_evaluate_refuses_predictions_of_two_strategies():
+    corpus, predictions = build_corpus_and_predictions(seed=1, size=2)
+    mixed = [predictions[0], dataclasses.replace(predictions[1], strategy=Strategy.COT)]
+    with pytest.raises(ValueError, match="more than one strategy: cot, standard"):
+        evaluate(mixed, corpus)
 
 
 def test_evaluate_empty_corpus_raises_empty_input():

@@ -165,6 +165,11 @@ def test_final_set_empty_set_error():
         parse_final_set("Answer: 42", m=4)
 
 
+def test_final_set_correct_without_a_letter_after_it_is_empty():
+    with pytest.raises(EmptySet, match="no valid letter after 'correct'"):
+        parse_final_set("Option B is wrong; nothing after it is correct.", m=4)
+
+
 def test_final_set_unparseable():
     with pytest.raises(Unparseable):
         parse_final_set("I have no idea what to say.", m=4)

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -801,33 +803,32 @@ def test_rex_got_retried_path_does_not_wait_for_a_later_samples_retry():
     assert not any(p.a1.parse_failed for p in prediction.paths)
 
 
-class SlowRetryBackend(StepBackend):
-    """Step 1 samples ``a1_texts``; each retry sleeps 50 ms and answers ``Excluded: B``."""
+class SeededRetryBackend(StepBackend):
+    """Step 1 samples ``a1_texts``; each retry answers ``Excluded: <letter of its seed>``."""
 
     def __init__(self, a1_texts):
         super().__init__(a1_texts)
-        self.retries = 0
+        self.seeds = []
 
     def complete(self, request):
         if is_step1_retry(request):
-            self.retries += 1
-            time.sleep(0.05)
-            return [Completion(text="Excluded: B")]
+            self.seeds.append(request.seed)
+            return [Completion(text=f"Excluded: {'ABCD'[request.seed % 4]}")]
         return super().complete(request)
 
 
-def test_rex_got_step1_retries_run_in_turn_so_a_recording_cache_asks_one(tmp_path):
-    # Two samples need the same retry request. Asked one after another, the
-    # second is a hit of the first; asked at once, both would miss.
+def test_rex_got_step1_retries_are_draws_of_their_own_under_a_recording_cache(tmp_path):
+    # Two samples need a retry. Each retry carries its path's seed, so a
+    # recording cache asks both, and each path takes its own reply.
     instance = make_instance(m=4)
-    inner = SlowRetryBackend(["garbled", "garbled", "Excluded: A"])
+    inner = SeededRetryBackend(["garbled", "garbled", "Excluded: A"])
     backend = CachingBackend(inner, tmp_path / "cache")
     try:
         prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=3))
     finally:
         backend.close()
-    assert inner.retries == 1
-    assert [p.a1.excluded for p in prediction.paths] == [{1}, {1}, {0}]
+    assert sorted(inner.seeds) == [1, 3]  # (seed 0 · K + path) · 2 + attempt 1
+    assert [p.a1.excluded for p in prediction.paths] == [{1}, {3}, {0}]
 
 
 class FailingRetryBackend(StepBackend):
@@ -1076,3 +1077,102 @@ def test_greedy_baseline_record_asks_as_many_calls_as_no_cache_and_replays_equal
         assert run_all(replaying) == expected
     finally:
         replaying.close()
+
+
+class GarbledThenAnswerBackend:
+    """Answers ``garbled`` to the first request and ``Answer: A`` to every later one."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return [Completion(text="garbled" if self.calls == 1 else "Answer: A")] * request.n_samples
+
+
+def test_sampled_retry_is_a_new_draw_under_a_recording_cache(tmp_path):
+    # The retry carries a seed of its own, so a recording cache does not answer
+    # it with the failed attempt's entry: record chooses what a run without a cache does.
+    instance = make_instance(m=3)
+    config = ReasonerConfig(temperature_step3=0.7)
+    off, inner = GarbledThenAnswerBackend(), GarbledThenAnswerBackend()
+    recording = CachingBackend(inner, tmp_path / "cache")
+    try:
+        predictions = [
+            run_strategy(instance, Strategy.STANDARD, backend, config)
+            for backend in (off, recording)
+        ]
+    finally:
+        recording.close()
+    assert [(p.chosen, p.fallback_used) for p in predictions] == [(frozenset({0}), False)] * 2
+    assert off.calls == inner.calls == 2
+
+
+class SamplingBackend:
+    """A stand-in for a sampling server that honours seeds.
+
+    A greedy reply is drawn from the prompt alone. A sampled one is drawn from
+    the prompt, seed, sample count and index, and how often that request was
+    asked before, so a resend of an equal request gets a new draw. Every
+    reply parses for all steps and strategies alike, or for none of them.
+    """
+
+    REPLIES = (
+        "garbled",
+        "Excluded: A\nVerdict: reasonable\nAnswer: A\nPick: A\nRemove: B\nMore: yes",
+        "Excluded: B\nVerdict: unreasonable\nAnswer: B\nPick: B\nRemove: A\nMore: no",
+        "Excluded: none\nVerdict: reasonable\nAnswer: A, B\nPick: B\nRemove: B\nMore: no",
+    )
+
+    def __init__(self):
+        self.seen = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        if request.temperature == 0:
+            return [Completion(text=self._draw(request.prompt))] * request.n_samples
+        with self._lock:
+            seen = self.seen[request]
+            self.seen[request] += 1
+        return [
+            Completion(text=self._draw(request.prompt, request.seed, request.n_samples, i, seen))
+            for i in range(request.n_samples)
+        ]
+
+    def _draw(self, *source):
+        return self.REPLIES[prompt_rank(repr(source)) % len(self.REPLIES)]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    strategy=st.sampled_from(list(Strategy)),
+    k=st.integers(1, 4),
+    m=st.integers(2, 4),
+    temperatures=st.tuples(
+        st.sampled_from([0.0, 0.8]), st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.4])
+    ),
+)
+def test_off_record_and_replay_choose_alike_against_a_sampling_server(
+    strategy, k, m, temperatures
+):
+    # No two sampled requests of a run are equal, so a cache never stands in
+    # one draw for another: record and its replay repeat the run without a cache.
+    instances = [make_instance(f"q{i}", m=m, question=f"Why {i}?") for i in range(4)]
+    t1, t2, t3 = temperatures
+    config = ReasonerConfig(k=k, temperature_step1=t1, temperature_step2=t2, temperature_step3=t3)
+
+    def run_all(backend):
+        return [run_strategy(instance, strategy, backend, config) for instance in instances]
+
+    expected = run_all(SamplingBackend())
+    with tempfile.TemporaryDirectory() as cache_dir:
+        recording = CachingBackend(SamplingBackend(), cache_dir)
+        try:
+            assert run_all(recording) == expected
+        finally:
+            recording.close()
+        replaying = CachingBackend(None, cache_dir)
+        try:
+            assert run_all(replaying) == expected
+        finally:
+            replaying.close()

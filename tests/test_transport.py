@@ -21,6 +21,7 @@ from rexgot.backend import (
     SEGMENT_DIR,
     CompletionRequest,
     HTTPBackend,
+    ProtocolError,
     RateLimited,
     TransportError,
 )
@@ -48,8 +49,9 @@ class Handler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with self.server.lock:
+            self.server.bodies.append(json.loads(body))
             self.server.paths.append(self.path)
             self.server.proxy_auth.append(self.headers.get("Proxy-Authorization"))
             self.server.request_headers.append(self.headers)
@@ -86,6 +88,7 @@ class Server(ThreadingHTTPServer):
         self.paths: list[str] = []
         self.proxy_auth: list[str | None] = []
         self.request_headers: list = []
+        self.bodies: list[dict] = []
         self.replies: list[tuple[int, dict, bytes]] = []
         self.drop_after_reply = False
         bracketed = f"[{host}]" if ":" in host else host
@@ -306,6 +309,43 @@ def test_http_run_does_not_import_requests(server, tmp_path):
     assert server.paths == ["/v1/chat/completions"]
 
 
+def test_greedy_body_is_unchanged_and_a_sampled_body_adds_its_seed():
+    bodies = []
+
+    def transport(body):
+        bodies.append(body)
+        return 200, {}, chat_body("ok").decode("utf-8")
+
+    backend = HTTPBackend("http://unused.test", transport=transport)
+    backend.complete(CompletionRequest(prompt="hi", temperature=0.0, max_tokens=8, model_name="m"))
+    backend.complete(CompletionRequest(prompt="hi", temperature=0.5, max_tokens=8, seed=6))
+    messages = [{"role": "user", "content": "hi"}]
+    assert bodies == [
+        {"model": "m", "messages": messages, "temperature": 0.0, "n": 1, "max_tokens": 8},
+        {"model": "", "messages": messages, "temperature": 0.5, "n": 1, "max_tokens": 8,
+         "seed": 6},
+    ]
+
+
+@pytest.mark.parametrize("temp_step3", ["0", "0.5"])
+def test_run_seed_reaches_the_wire_only_on_sampled_calls(server, tmp_path, temp_step3):
+    # Every reply is "ok", which does not parse, so a sampled call is retried.
+    corpus = three_instance_corpus(tmp_path)
+    seeds = []
+    for seed in ("1", "2"):
+        server.bodies.clear()
+        code = main(["run", "--corpus", str(corpus), "--strategy", "standard",
+                     "--backend", "http", "--endpoint", server.url, "--seed", seed,
+                     "--temp-step3", temp_step3, "--out", str(tmp_path / f"out{seed}")])
+        assert code == 0
+        seeds.append([body.get("seed") for body in server.bodies])
+    if temp_step3 == "0":
+        assert seeds == [[None] * 3] * 2
+    else:
+        # (seed · K + path 0) · 2 + attempt, with the default K = 3.
+        assert seeds == [[6, 7] * 3, [12, 13] * 3]
+
+
 def three_instance_corpus(tmp_path):
     """Instances q1, q2 and q3, each asking its own prompt."""
     corpus = tmp_path / "corpus.jsonl"
@@ -460,6 +500,30 @@ def test_body_without_keep_alive_is_read_whole_and_connection_not_reused(
     backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
     try:
         assert backend.complete(request("a"))[0].text == "whole " * 50
+        assert backend.complete(request("b"))[0].text == "ok"
+    finally:
+        backend.close()
+    assert raw_server.connections == 2
+
+
+def test_204_reply_has_an_empty_body_and_the_connection_is_reused(raw_server):
+    raw_server.raw = [(b"HTTP/1.1 204 No Content\r\nContent-Length: 9\r\n\r\n", False)]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        with pytest.raises(ProtocolError, match="^HTTP 204: $"):
+            backend.complete(request("a"))
+        assert backend.complete(request("b"))[0].text == "ok"
+    finally:
+        backend.close()
+    assert raw_server.connections == 1
+
+
+def test_body_of_a_non_chunked_transfer_coding_is_read_to_close_without_reuse(raw_server):
+    body = chat_body("gzip is not asked for")
+    raw_server.raw = [(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: identity\r\n\r\n" + body, True)]
+    backend = HTTPBackend(raw_server.url, timeout=10, max_retries=0)
+    try:
+        assert backend.complete(request("a"))[0].text == "gzip is not asked for"
         assert backend.complete(request("b"))[0].text == "ok"
     finally:
         backend.close()
