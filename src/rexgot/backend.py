@@ -776,26 +776,16 @@ def segment_paths(cache_dir: str | Path) -> list[Path]:
 def _segment_entries(fd: int) -> Iterator[tuple[str | None, int, int]]:
     """(digest, offset, length) of each line of the segment open at ``fd``.
 
-    The digest is None for a line that is cut off or malformed. The
-    segment is read a buffer at a time and only the head and the end of
-    each line are looked at, so the scan holds one buffer and one line.
+    The digest is None for a line that is cut off, a last line without its
+    newline too, or malformed. ``fd`` is read through a buffered reader and left open.
     """
-    offset = 0  # of ``data`` in the segment
-    data = b""
-    while chunk := os.read(fd, _SCAN_BYTES):
-        data += chunk
-        start = 0
-        while (end := data.find(b"\n", start)) >= 0:
-            match = _ENTRY_HEAD.match(data, start)
-            digest = None
-            if match is not None and data.endswith(b"}\n", start, end + 1):
-                digest = match.group(1).decode("ascii")
-            yield digest, offset + start, end + 1 - start
-            start = end + 1
-        offset += start
-        data = data[start:]
-    if data:  # a last line without its newline
-        yield None, offset, len(data)
+    offset = 0
+    with open(fd, "rb", buffering=_SCAN_BYTES, closefd=False) as segment:
+        for line in segment:
+            match = _ENTRY_HEAD.match(line)
+            digest = match.group(1).decode("ascii") if match and line.endswith(b"}\n") else None
+            yield digest, offset, len(line)
+            offset += len(line)
 
 
 def _close(resource: Any) -> None:

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import os
 import re
 import stat
 import sys
+import tempfile
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rexgot.backend import (
     SEGMENT_DIR,
@@ -682,6 +689,102 @@ def test_replay_picks_the_same_entry_when_segments_disagree(tmp_path):
         replayer = CachingBackend(None, cache_dir)
         assert replayer.complete(request()) == [Completion(text="second")]
         replayer.close()
+
+
+# Prompts of recorded entries: short, non-ASCII, and lines over one and over
+# three of the scan's 64 KiB buffers. Each is recorded with two replies.
+SCAN_PROMPTS = ["a", "b\u00e9", "c" * 70_000, "d\n" * 70_000]
+SCAN_REPLIES = ["reply 0", "reply 1"]
+
+
+@functools.cache
+def recorded_lines():
+    """{(prompt index, reply index): the entry line a recorder writes, without its newline}."""
+    lines = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for r, reply in enumerate(SCAN_REPLIES):
+            cache_dir = Path(tmp) / reply
+            recorder = CachingBackend(CountingBackend(reply), cache_dir)
+            for prompt in SCAN_PROMPTS:
+                recorder.complete(request(prompt=prompt))
+            recorder.close()
+            for p, line in enumerate(segment_lines(cache_dir)):
+                lines[p, r] = line.rstrip(b"\n")
+    return lines
+
+
+@st.composite
+def segment_items(draw):
+    """(prompt index or None, outcome, bytes of one line without its newline).
+
+    The outcome is the reply index an entry serves, "malformed body" for a
+    line the scan keeps but no lookup can decode, or None for a line the scan
+    must skip.
+    """
+    p = draw(st.integers(0, len(SCAN_PROMPTS) - 1))
+    r = draw(st.integers(0, len(SCAN_REPLIES) - 1))
+    line = recorded_lines()[p, r]
+    # Whole entries come twice as often as each kind of damage.
+    kind = draw(st.sampled_from(["entry", "entry", "torn", "malformed body", "garbage"]))
+    if kind == "entry":
+        return p, r, line
+    if kind == "torn":  # cut off anywhere before its closing brace
+        return None, None, line[: draw(st.integers(1, len(line) - 1))].rstrip(b"}")
+    if kind == "malformed body":
+        return p, kind, line[: line.index(b",") + 1] + b'"completions":oops}'
+    foreign = [b"", b"}", b"cut\roff", b'{"digest":"not hex"}', line.upper(), line[:90]]
+    garbage = draw(st.one_of(
+        st.sampled_from(foreign),
+        st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"").rstrip(b"}")),
+    ))
+    return None, None, garbage
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    contents=st.lists(st.lists(segment_items(), max_size=6), min_size=1, max_size=2),
+    final_newlines=st.lists(st.booleans(), min_size=2, max_size=2),
+)
+def test_segment_scan_keeps_every_whole_entry_and_skips_the_rest(contents, final_newlines):
+    served, skipped, digests = {}, {}, set()  # what the segments' lines promise, in order
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_dir = Path(tmp) / "cache"
+        (cache_dir / SEGMENT_DIR).mkdir(parents=True)
+        for name, items, final_newline in zip("ab", contents, final_newlines):
+            lines = [line + b"\n" for _, _, line in items]
+            if lines and not final_newline:
+                lines[-1] = lines[-1][:-1]
+            (cache_dir / SEGMENT_DIR / f"{name}.jsonl").write_bytes(b"".join(lines))
+            skipped[name] = 0
+            for (p, outcome, _), line in zip(items, lines):
+                if outcome is not None and line.endswith(b"\n"):
+                    served.setdefault(p, outcome)
+                    digests.add(p)
+                elif line:
+                    skipped[name] += 1
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            replayer = CachingBackend(None, cache_dir)
+        try:
+            assert err.getvalue() == "".join(
+                f"rexgot: cache segment {name}.jsonl: skipped {n} cut-off or malformed line(s)\n"
+                for name, n in skipped.items() if n
+            )
+            for p, prompt in enumerate(SCAN_PROMPTS):
+                assert replayer.contains(cache_key(request(prompt=prompt))) == (p in served)
+                if p not in served:
+                    with pytest.raises(ReplayMiss):
+                        replayer.complete(request(prompt=prompt))
+                elif served[p] == "malformed body":
+                    with pytest.raises(ProtocolError):
+                        replayer.complete(request(prompt=prompt))
+                else:
+                    reply = SCAN_REPLIES[served[p]]
+                    assert replayer.complete(request(prompt=prompt)) == [Completion(text=reply)]
+        finally:
+            replayer.close()
+        assert purge_cache(cache_dir) == len(digests)
+        assert not (cache_dir / SEGMENT_DIR).exists()
 
 
 def test_record_of_cache_hits_creates_no_segment(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 import time
@@ -265,6 +266,11 @@ def test_unknown_config_key_rejected(tmp_path, bob_movie_setup, capsys):
         pytest.param({}, ["--workers", "0"], "workers must be >= 1, got 0", id="workers_below_1"),
         pytest.param({}, ["--seed", "-1"], "seed must be >= 0, got -1", id="negative_seed"),
         pytest.param({"scripts": ""}, [], "scripted backend requires --scripts", id="no_scripts"),
+        pytest.param(
+            {"backend": "http"}, ["--endpoint", "http://127.0.0.1:9/a b"],
+            "http backend: URL must not contain spaces or control characters",
+            id="endpoint_with_a_space",
+        ),
     ],
 )
 def test_bad_setting_is_config_error(tmp_path, bob_movie_setup, capsys, settings, flags, message):
@@ -445,6 +451,7 @@ def test_config_file_that_is_not_json_is_config_error(tmp_path, bob_movie_setup,
         pytest.param({"scripts": [{"prompt": "x", "responses": []}]}, id="empty_responses"),
         pytest.param({"scripts": [{"prompt": "x"}]}, id="no_responses"),
         pytest.param(["a"], id="not_an_object"),
+        pytest.param({"scripts": [{"prompt": 5, "responses": ["x"]}]}, id="prompt_not_a_string"),
     ],
 )
 def test_malformed_scripts_shape_is_an_error(tmp_path, bob_movie_setup, capsys, payload):
@@ -523,6 +530,28 @@ def test_malformed_cache_body_fails_only_its_instance(tmp_path, capsys, edit, ca
     names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
              "traces/q1.json", "traces/q2.json", "traces/q3.json"]
     assert all((out / name).is_file() for name in names)
+
+
+def test_replay_of_a_segment_that_cannot_be_read_is_an_error_and_closes_its_files(
+    tmp_path, capsys
+):
+    corpus_path, cache_dir = _record_three_instances(tmp_path)
+    (cache_dir / SEGMENT_DIR / "x.jsonl").mkdir()  # indexed after the recorded segment
+    capsys.readouterr()
+    lowest_free = os.open(os.devnull, os.O_RDONLY)
+    os.close(lowest_free)
+    out = tmp_path / "out"
+    code = main([
+        "run", "--corpus", str(corpus_path), "--strategy", "standard",
+        "--cache-mode", "replay", "--cache-dir", str(cache_dir), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert not out.exists()
+    # The recorded segment's descriptor was closed: the lowest free one is free again.
+    probe = os.open(os.devnull, os.O_RDONLY)
+    os.close(probe)
+    assert probe == lowest_free
 
 
 class HoldingBackend:
@@ -765,6 +794,7 @@ GOOD_REPORT = {
             id="empty_bucket",
         ),
         pytest.param({"n_instances": 0, "by_gold_count": {}}, id="no_instances"),
+        pytest.param({"n_instances": 2}, id="buckets_short_of_n_instances"),
     ],
 )
 def test_compare_malformed_report_is_refused(tmp_path, capsys, edit):

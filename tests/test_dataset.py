@@ -174,6 +174,18 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
         ),
         pytest.param(b"[" + VALID_LINE + b"]", MalformedLine, "expected a JSON object",
                      id="json_not_an_object"),
+        pytest.param(
+            VALID_LINE.replace(b'"c1"', b'""'), ValidationFailed, "instance id is empty",
+            id="id_empty",
+        ),
+        pytest.param(
+            re.sub(rb'"dialogue": \[[^]]*\]', b'"dialogue": []', VALID_LINE), ValidationFailed,
+            "dialogue has no turns", id="dialogue_empty",
+        ),
+        pytest.param(
+            VALID_LINE.replace(b'"What might happen next?"', b'"  "'), ValidationFailed,
+            "instance c1: question is empty", id="question_blank",
+        ),
     ],
 )
 def test_bad_line_fails_naming_file_and_line(tmp_path, line, error, message):
@@ -476,6 +488,10 @@ def test_release_adapter_bad_dialogue_names_the_field(tmp_path, dialogue, messag
             id="choices_a_string",
         ),
         pytest.param({"Type": 3}, "record r1: Type must be a string, got 3", id="type_a_number"),
+        pytest.param(
+            {"Correct Answers": None}, "record r1: unsupported answers value None",
+            id="answers_null",
+        ),
         pytest.param(
             {"ID": 5, "Question": None, "Choices": [1, None]}, "ID must be a string, got 5",
             id="id_question_and_choices",

@@ -757,50 +757,53 @@ def test_rex_got_parsed_paths_do_not_wait_for_a_step1_retry():
     assert not any(p.a1.parse_failed for p in prediction.paths)
 
 
-class SecondRetryHoldingBackend(StepBackend):
-    """Step 1 samples ``garbled`` twice. The first retry answers ``Excluded: B``;
-    the second waits until all verdicts of the first retried path were asked.
+class LateRetryBackend(StepBackend):
+    """Step 1 samples ``garbled`` twice. Each retry answers by its seed: path 0's
+    (seed 1) ``Excluded: B`` and path 1's (seed 3) ``Excluded: C``.
 
-    The wait gives up after ``timeout`` seconds and records whether those
-    verdicts were asked before then. The second retry answers ``Excluded: C``.
+    The retry of seed ``late_seed`` waits until all verdicts of the other retried
+    path were asked. The wait gives up after ``timeout`` seconds and records
+    whether those verdicts were asked before then.
     """
 
-    def __init__(self, timeout, m):
+    REPLIES = {1: "Excluded: B", 3: "Excluded: C"}
+
+    def __init__(self, timeout, m, late_seed):
         super().__init__(["garbled", "garbled"])
         self.timeout = timeout
         self.m = m
+        self.late_seed = late_seed
+        (early_seed,) = set(self.REPLIES) - {late_seed}
+        self.early_reply = self.REPLIES[early_seed]
         self.lock = threading.Lock()
-        self.retries = 0
-        self.verdicts_of_b = 0
+        self.early_verdicts = 0
         self.verdicts_asked = threading.Event()
         self.held = []
 
     def complete(self, request):
         if is_step1_retry(request):
+            if request.seed == self.late_seed:
+                self.held.append(self.verdicts_asked.wait(self.timeout))
+            return [Completion(text=self.REPLIES[request.seed])]
+        if self.early_reply in request.prompt and VERDICTS_HEADER not in request.prompt:
             with self.lock:
-                self.retries += 1
-                first = self.retries == 1
-            if first:
-                return [Completion(text="Excluded: B")]
-            self.held.append(self.verdicts_asked.wait(self.timeout))
-            return [Completion(text="Excluded: C")]
-        if "Excluded: B" in request.prompt and VERDICTS_HEADER not in request.prompt:
-            with self.lock:
-                self.verdicts_of_b += 1
-                if self.verdicts_of_b == self.m:
+                self.early_verdicts += 1
+                if self.early_verdicts == self.m:
                     self.verdicts_asked.set()
         return super().complete(request)
 
 
 def test_rex_got_retried_path_does_not_wait_for_a_later_samples_retry():
-    # The second retry is held until the first retried path has asked its
-    # verdicts, so a run that asks step 2 only after every retry would time out.
+    # One retry is held until the other retried path has asked its verdicts,
+    # so a run that asks step 2 only after every retry, or only after the
+    # earlier sample's retry, would time out. Either path's retry may be late.
     instance = make_instance(m=4)
-    backend = SecondRetryHoldingBackend(timeout=5, m=instance.m)
-    prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=2))
-    assert backend.held == [True]
-    assert [p.a1.excluded for p in prediction.paths] == [{1}, {2}]
-    assert not any(p.a1.parse_failed for p in prediction.paths)
+    for late_seed in (3, 1):
+        backend = LateRetryBackend(timeout=5, m=instance.m, late_seed=late_seed)
+        prediction = run_strategy(instance, Strategy.REX_GOT, backend, ReasonerConfig(k=2))
+        assert backend.held == [True]
+        assert [p.a1.excluded for p in prediction.paths] == [{1}, {2}]
+        assert not any(p.a1.parse_failed for p in prediction.paths)
 
 
 class SeededRetryBackend(StepBackend):

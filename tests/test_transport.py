@@ -570,6 +570,10 @@ def test_server_closing_mid_response_is_transport_error(raw_server, cut):
             b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\nContent-Length: 0\r\n\r\n",
             id="head_over_64_kib",
         ),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"1" * 70_000,
+            id="chunk_size_line_over_64_kib",
+        ),
     ],
 )
 def test_malformed_response_is_transport_error(raw_server, reply):
@@ -640,7 +644,8 @@ def test_proxy_environment_is_read_once_per_origin(server, monkeypatch):
 class RawProxy:
     """Answers one ``CONNECT`` with ``reply``, then the client's next bytes with ``after_hello``.
 
-    ``head`` is the request head it received and ``next_bytes`` what came after it.
+    An empty ``reply`` closes the connection instead. ``head`` is the request
+    head it received and ``next_bytes`` what came after it.
     """
 
     def __init__(self, reply: bytes, after_hello: bytes = b""):
@@ -662,6 +667,8 @@ class RawProxy:
                 if not data:
                     return
                 self.head += data
+            if not self.reply:
+                return
             conn.sendall(self.reply)
             self.next_bytes = conn.recv(4096)
             if self.next_bytes and self.after_hello:
@@ -706,3 +713,8 @@ def test_bytes_after_the_connect_response_are_transport_error(monkeypatch):
     error = tunnelled_call(monkeypatch, proxy)
     assert "after its CONNECT response" in str(error)
     assert proxy.next_bytes == b""  # no TLS handshake was started
+
+
+def test_proxy_that_closes_without_answering_connect_is_transport_error(monkeypatch):
+    error = tunnelled_call(monkeypatch, RawProxy(b""))
+    assert "proxy closed the connection without answering CONNECT" in str(error)
