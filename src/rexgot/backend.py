@@ -680,7 +680,7 @@ class CachingBackend:
             return
         added = skipped = 0
         try:
-            for digest, offset, length in _segment_entries(fd):
+            for digest, offset, length in _segment_entries(fd, path):
                 if digest is None:
                     skipped += 1
                 elif digest not in self._index:
@@ -773,19 +773,23 @@ def segment_paths(cache_dir: str | Path) -> list[Path]:
     return sorted((Path(cache_dir) / SEGMENT_DIR).glob("*.jsonl"))
 
 
-def _segment_entries(fd: int) -> Iterator[tuple[str | None, int, int]]:
-    """(digest, offset, length) of each line of the segment open at ``fd``.
+def _segment_entries(fd: int, path: Path) -> Iterator[tuple[str | None, int, int]]:
+    """(digest, offset, length) of each line of the segment ``path``, open at ``fd``.
 
     The digest is None for a line that is cut off, a last line without its
-    newline too, or malformed. ``fd`` is read through a buffered reader and left open.
+    newline too, or malformed. ``fd`` is read through a buffered reader and left
+    open; an :class:`OSError` reading it names ``path``, not the descriptor.
     """
     offset = 0
-    with open(fd, "rb", buffering=_SCAN_BYTES, closefd=False) as segment:
-        for line in segment:
-            match = _ENTRY_HEAD.match(line)
-            digest = match.group(1).decode("ascii") if match and line.endswith(b"}\n") else None
-            yield digest, offset, len(line)
-            offset += len(line)
+    try:
+        with open(fd, "rb", buffering=_SCAN_BYTES, closefd=False) as segment:
+            for line in segment:
+                match = _ENTRY_HEAD.match(line)
+                digest = match.group(1).decode("ascii") if match and line.endswith(b"}\n") else None
+                yield digest, offset, len(line)
+                offset += len(line)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _close(resource: Any) -> None:
@@ -801,7 +805,7 @@ def purge_cache(cache_dir: str | Path) -> int:
     for path in segment_paths(cache_dir):
         fd = os.open(path, os.O_RDONLY)
         try:
-            digests.update(digest for digest, _, _ in _segment_entries(fd))
+            digests.update(digest for digest, _, _ in _segment_entries(fd, path))
         finally:
             os.close(fd)
         path.unlink()

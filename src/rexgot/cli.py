@@ -234,22 +234,24 @@ def cmd_run(config: RunConfig) -> int:
         call_pool=call_pool,
     )
     try:
-        (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-        # Line-buffered: each instance's line is on disk once its result is in.
-        with (out_dir / "predictions.jsonl").open("w", encoding="utf-8", buffering=1) as lines:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # Line-buffered: each instance's two lines are on disk once its result is in.
+        with (
+            (out_dir / "predictions.jsonl").open("w", encoding="utf-8", buffering=1) as lines,
+            (out_dir / "traces.jsonl").open("w", encoding="utf-8", buffering=1) as traces,
+        ):
             for instance, (prediction, failed) in zip(
                 instances, instance_pool.map(predict, instances)
             ):
                 failures += failed
                 paths = prediction.paths
                 record = prediction_record(prediction) | {"n_paths": len(paths)}
-                lines.write(json.dumps(record, sort_keys=True) + "\n")
                 # Only rex_got predictions carry paths; a failed instance has none.
                 graph = build_graph(instance, paths) if paths else None
                 trace = build_trace(instance, prediction, graph)
-                (out_dir / "traces" / f"{instance.id}.json").write_text(
-                    json.dumps(trace, sort_keys=True, indent=2) + "\n", "utf-8"
-                )
+                # Both lines go out once both are built, so the files stay in step.
+                lines.write(json.dumps(record, sort_keys=True) + "\n")
+                traces.write(json.dumps(trace, sort_keys=True) + "\n")
                 # Scoring needs only the chosen sets; the raw texts can go.
                 predictions.append(replace(prediction, paths=()))
     finally:

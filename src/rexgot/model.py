@@ -19,8 +19,6 @@ if TYPE_CHECKING:
     from .reasoner import ReasoningPath
 
 MAX_OPTIONS = 26
-# An id names its trace file, <id>.json, and file names hold at most 255 bytes.
-MAX_ID_BYTES = 255 - len(".json")
 
 OPTION_LETTERS = string.ascii_uppercase
 
@@ -116,16 +114,6 @@ class MCQInstance:
         object.__setattr__(self, "gold", frozenset(self.gold))
         if not self.id:
             raise ValidationError("instance id is empty", field_name="id")
-        # The id names the instance's trace file, so it must be one file-name component.
-        if "/" in self.id or "\0" in self.id or self.id in (".", ".."):
-            raise ValidationError(
-                f"instance id {self.id!r} is not a single file name", field_name="id"
-            )
-        if len(self.id.encode("utf-8", "surrogatepass")) > MAX_ID_BYTES:
-            raise ValidationError(
-                f"instance id {self.id[:16]!r}... is longer than {MAX_ID_BYTES} UTF-8 bytes",
-                field_name="id",
-            )
         if not self.dialogue:
             raise ValidationError("dialogue has no turns", field_name="dialogue")
         texts = {

@@ -483,7 +483,7 @@ def _rex_got(
 
 
 def prediction_record(prediction: Prediction) -> dict:
-    """The JSON-ready fields that ``predictions.jsonl`` and the traces share."""
+    """The JSON fields a prediction's ``predictions.jsonl`` and ``traces.jsonl`` lines share."""
     return {
         "instance_id": prediction.instance_id,
         "strategy": prediction.strategy.value,
@@ -495,9 +495,11 @@ def prediction_record(prediction: Prediction) -> dict:
 
 
 def build_trace(instance: MCQInstance, prediction: Prediction, graph: dict | None = None) -> dict:
-    """One JSON-ready trace document per prediction, for offline inspection.
+    """The JSON-ready trace of one prediction, for offline inspection.
 
-    ``graph`` is the instance's :func:`build_graph` dict, embedded as is.
+    ``rexgot run`` writes it as one line of ``traces.jsonl``, in the order of
+    ``predictions.jsonl``. ``graph`` is the instance's :func:`build_graph`
+    dict, embedded as is.
     """
     return {
         **prediction_record(prediction),

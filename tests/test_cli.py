@@ -47,6 +47,16 @@ def run_args(corpus_path, scripts_path, out_dir, *extra):
     ]
 
 
+def _lines(path):
+    """The JSON value of each complete line of ``path``."""
+    text = path.read_text("utf-8")
+    return [json.loads(line) for line in text.splitlines(keepends=True) if line.endswith("\n")]
+
+
+def _traces(out_dir):
+    return _lines(out_dir / "traces.jsonl")
+
+
 def test_run_bob_movie_scripted_exit_zero(tmp_path, bob_movie_setup, capsys):
     corpus_path, scripts_path = bob_movie_setup
     out_dir = tmp_path / "out"
@@ -69,7 +79,8 @@ def test_run_writes_all_output_files(tmp_path, bob_movie_setup):
     assert (out_dir / "report.json").is_file()
     assert (out_dir / "report.txt").is_file()
     assert (out_dir / "by_gold_count.csv").is_file()
-    trace = json.loads((out_dir / "traces" / "bob-movie-1.json").read_text())
+    [trace] = _traces(out_dir)
+    assert trace["instance_id"] == "bob-movie-1"
     assert trace["graph"] is not None
     assert len(trace["graph"]["nodes"]) == 1 + 5 + 3 * 7
 
@@ -394,14 +405,6 @@ def test_corpus_that_is_not_utf8_is_an_error(tmp_path, bob_movie_setup, capsys):
     "edit, message",
     [
         pytest.param(
-            lambda line: line.replace(b'"q1"', b'"../escaped"'),
-            "instance id '../escaped' is not a single file name", id="id_escapes_traces",
-        ),
-        pytest.param(
-            lambda line: line.replace(b'"q1"', b'"a/b"'),
-            "instance id 'a/b' is not a single file name", id="id_with_a_slash",
-        ),
-        pytest.param(
             lambda line: line.replace(b'"question": "', b'"question": "q\\udcff? '),
             "instance 'q1': question holds a lone surrogate, which is not UTF-8",
             id="lone_surrogate",
@@ -528,15 +531,17 @@ def test_malformed_cache_body_fails_only_its_instance(tmp_path, capsys, edit, ca
     predictions = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
     assert [p["fallback_used"] for p in predictions] == [False, True, False]
     names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
-             "traces/q1.json", "traces/q2.json", "traces/q3.json"]
+             "traces.jsonl"]
     assert all((out / name).is_file() for name in names)
+    assert [t["instance_id"] for t in _traces(out)] == ["q1", "q2", "q3"]
 
 
 def test_replay_of_a_segment_that_cannot_be_read_is_an_error_and_closes_its_files(
     tmp_path, capsys
 ):
     corpus_path, cache_dir = _record_three_instances(tmp_path)
-    (cache_dir / SEGMENT_DIR / "x.jsonl").mkdir()  # indexed after the recorded segment
+    unreadable = cache_dir / SEGMENT_DIR / "x.jsonl"
+    unreadable.mkdir()  # indexed after the recorded segment
     capsys.readouterr()
     lowest_free = os.open(os.devnull, os.O_RDONLY)
     os.close(lowest_free)
@@ -546,12 +551,22 @@ def test_replay_of_a_segment_that_cannot_be_read_is_an_error_and_closes_its_file
         "--cache-mode", "replay", "--cache-dir", str(cache_dir), "--out", str(out),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{unreadable}'\n"
     assert not out.exists()
     # The recorded segment's descriptor was closed: the lowest free one is free again.
     probe = os.open(os.devnull, os.O_RDONLY)
     os.close(probe)
     assert probe == lowest_free
+
+
+def test_purge_of_a_segment_that_cannot_be_read_is_an_error_naming_it(tmp_path, capsys):
+    _, cache_dir = _record_three_instances(tmp_path)
+    unreadable = cache_dir / SEGMENT_DIR / "x.jsonl"
+    unreadable.mkdir()  # purged after the recorded segment
+    capsys.readouterr()
+    assert main(["cache", "purge", "--cache-dir", str(cache_dir)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{unreadable}'\n"
+    assert unreadable.is_dir()
 
 
 class HoldingBackend:
@@ -591,11 +606,11 @@ def _held_run_config(tmp_path, monkeypatch, backend):
 
 
 def _written(out_dir):
-    """The instance ids of the complete lines in predictions.jsonl, and the trace names."""
-    text = (out_dir / "predictions.jsonl").read_text("utf-8")
-    ids = [json.loads(line)["instance_id"] for line in text.splitlines(keepends=True)
-           if line.endswith("\n")]
-    return ids, sorted(path.name for path in (out_dir / "traces").iterdir())
+    """The instance ids of the complete lines in predictions.jsonl and in traces.jsonl."""
+    return tuple(
+        [record["instance_id"] for record in _lines(out_dir / name)]
+        for name in ("predictions.jsonl", "traces.jsonl")
+    )
 
 
 def test_run_writes_each_instance_as_it_finishes(tmp_path, monkeypatch):
@@ -615,11 +630,11 @@ def test_run_writes_each_instance_as_it_finishes(tmp_path, monkeypatch):
     try:
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            if out_dir.joinpath("traces", "q2.json").exists():
+            if (out_dir / "traces.jsonl").exists() and _written(out_dir)[1] == ["q1", "q2"]:
                 break
             time.sleep(0.01)
         # q3 is still held, yet q1 and q2 are on disk in id order.
-        assert _written(out_dir) == (["q1", "q2"], ["q1.json", "q2.json"])
+        assert _written(out_dir) == (["q1", "q2"], ["q1", "q2"])
         assert run.is_alive()
         assert not (out_dir / "report.json").exists()
     finally:
@@ -627,8 +642,8 @@ def test_run_writes_each_instance_as_it_finishes(tmp_path, monkeypatch):
         run.join(timeout=30)
     assert not run.is_alive()
     assert codes == [0]
-    assert _written(out_dir) == (["q1", "q2", "q3"], ["q1.json", "q2.json", "q3.json"])
-    assert json.loads((out_dir / "traces" / "q3.json").read_text())["graph"] is not None
+    assert _written(out_dir) == (["q1", "q2", "q3"], ["q1", "q2", "q3"])
+    assert _traces(out_dir)[2]["graph"] is not None
     # Scoring gets each prediction without its paths and their raw texts.
     assert [p.instance_id for p in evaluated] == ["q1", "q2", "q3"]
     assert all(p.paths == () and p.chosen == {0} for p in evaluated)
@@ -641,8 +656,23 @@ def test_run_ended_by_a_non_backend_error_keeps_the_finished_prefix(tmp_path, mo
     with pytest.raises(RuntimeError, match="not a backend error"):
         cli.cmd_run(config)
     out_dir = tmp_path / "out"
-    assert _written(out_dir) == (["q1", "q2"], ["q1.json", "q2.json"])
+    assert _written(out_dir) == (["q1", "q2"], ["q1", "q2"])
     assert not (out_dir / "report.json").exists()
+
+
+def test_run_ended_while_building_a_trace_keeps_both_files_in_step(tmp_path, monkeypatch):
+    config = _held_run_config(tmp_path, monkeypatch, HoldingBackend("never in a prompt"))
+    real_build_graph = cli.build_graph
+
+    def build_graph(instance, paths):
+        if instance.id == "q2":
+            raise RuntimeError("graph failed")
+        return real_build_graph(instance, paths)
+
+    monkeypatch.setattr(cli, "build_graph", build_graph)
+    with pytest.raises(RuntimeError, match="graph failed"):
+        cli.cmd_run(config)
+    assert _written(tmp_path / "out") == (["q1"], ["q1"])
 
 
 def test_compare_command_five_reports(tmp_path, capsys):
@@ -861,25 +891,30 @@ def test_corpus_without_instances_is_refused_before_any_output(tmp_path, capsys)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blank.jsonl", "s.json"]
 
 
-def test_id_too_long_for_a_trace_file_is_refused_before_any_output(tmp_path, capsys):
-    corpus_path = tmp_path / "long.jsonl"
-    records = [
-        {"id": instance_id, "dialogue": [{"speaker": "A", "text": "hello"}],
-         "target_index": 0, "question": "Why?", "options": ["one", "two"], "answers": [0]}
-        for instance_id in ("a", "b" * 300)
-    ]
-    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+@pytest.mark.parametrize(
+    "instance_id",
+    ["dev/q1", "..", "nul\0", pytest.param("\u00e9" * 150, id="300-bytes")],
+)
+def test_id_that_is_not_one_file_name_runs_end_to_end(tmp_path, instance_id):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus(name="ids", instances=(make_instance(instance_id),)), corpus_path)
     scripts_path = write_scripts_file(tmp_path / "s.json", [], default=["Answer: A"])
-    code = main([
-        "run", "--corpus", str(corpus_path), "--strategy", "standard",
-        "--backend", "scripted", "--scripts", str(scripts_path), "--out", str(tmp_path / "out"),
-    ])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        f"error: {corpus_path}, line 2: instance id 'bbbbbbbbbbbbbbbb'... "
-        "is longer than 250 UTF-8 bytes\n"
-    )
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["long.jsonl", "s.json"]
+    out_dir = tmp_path / "out"
+    assert main(run_args(corpus_path, scripts_path, out_dir, "--k", "1")) == 0
+    assert _written(out_dir) == ([instance_id], [instance_id])
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "by_gold_count.csv", "predictions.jsonl", "report.json", "report.txt", "traces.jsonl"
+    ]
+
+
+def test_rerun_into_the_same_out_keeps_only_its_own_traces(tmp_path):
+    scripts_path = write_scripts_file(tmp_path / "s.json", [], default=["Answer: A"])
+    out_dir = tmp_path / "out"
+    for name, ids in (("first", ("q1", "q2")), ("second", ("r1",))):
+        corpus_path = tmp_path / f"{name}.jsonl"
+        save_corpus(Corpus(name=name, instances=tuple(map(make_instance, ids))), corpus_path)
+        assert main(run_args(corpus_path, scripts_path, out_dir, "--k", "1")) == 0
+    assert _written(out_dir) == (["r1"], ["r1"])
 
 
 def test_missing_corpus_file_is_reported_not_raised(tmp_path, capsys):
@@ -970,24 +1005,21 @@ def test_replay_call_pool_is_as_wide_as_workers(tmp_path, monkeypatch):
 
 
 def _output_digests(out_dir):
-    names = ["predictions.jsonl", "report.json"] + sorted(
-        f"traces/{p.name}" for p in (out_dir / "traces").iterdir()
-    )
     return {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("predictions.jsonl", "report.json", "traces.jsonl")
     }
 
 
 GOLDEN_BOB_MOVIE = {
     "predictions.jsonl": "47680a65347e67b764b5286a4f5a5aeddc7bffd0d8e6d55ad315fff4f6a4d466",
     "report.json": "c0b33a5d75d356232ef8ae91873075cbec711c754f8da3187f3de7653060788b",
-    "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
+    "traces.jsonl": "8f02272b31031fb56323476303cf26f236c8fcad69dad9aa129a4de8f31737de",
 }
 GOLDEN_PARTIAL_FAILURE = {
     "predictions.jsonl": "70c37dde1cebfec8e7885504b9a2c685481ada30018e709df342227c497be6ee",
     "report.json": "9a28a2bae98b866435e5a6f405144a9894e92d17142cdf394320fd0ba163bbef",
-    "traces/bob-movie-1.json": "76199397a9134f9f52ea3f10507c3782f1fcd121771e9186e6c8bc963787d382",
-    "traces/uncovered.json": "d8fa5c1ce24110b869aa9f6257f2248ffe5f58e70cf2fecb9ccca528b287b286",
+    "traces.jsonl": "33effd3d04066b56cd61988fe54a92a6af0a313cac0745a56186e888b5476161",
 }
 
 
@@ -1007,7 +1039,7 @@ def test_golden_output_bytes(tmp_path, bob_movie_instance):
     partial_path = tmp_path / "two.jsonl"
     save_corpus(Corpus(name="two", instances=(bob_movie_instance, other)), partial_path)
     assert main(run_args(partial_path, scripts_path, tmp_path / "partial")) == 1
-    assert json.loads((tmp_path / "partial/traces/uncovered.json").read_text())["graph"] is None
+    assert _traces(tmp_path / "partial")[1]["graph"] is None
     assert _output_digests(tmp_path / "partial") == GOLDEN_PARTIAL_FAILURE
 
 

@@ -117,18 +117,6 @@ FIRST_TURN = b'{"speaker": "A", "text": "hello there"}'
             "inference_type must be a string, got ['cause']", id="inference_type_not_a_string",
         ),
         pytest.param(
-            VALID_LINE.replace(b'"c1"', b'"../escaped"'), ValidationFailed,
-            "instance id '../escaped' is not a single file name", id="id_escapes_its_directory",
-        ),
-        pytest.param(
-            VALID_LINE.replace(b'"c1"', b'"a/b"'), ValidationFailed,
-            "instance id 'a/b' is not a single file name", id="id_with_a_slash",
-        ),
-        pytest.param(
-            VALID_LINE.replace(b'"c1"', b'"' + b"b" * 300 + b'"'), ValidationFailed,
-            f"instance id {'b' * 16!r}... is longer than 250 UTF-8 bytes", id="id_too_long",
-        ),
-        pytest.param(
             VALID_LINE.replace(b"What might", b"What\\udcff might"), ValidationFailed,
             "instance 'c1': question holds a lone surrogate", id="lone_surrogate",
         ),
@@ -247,7 +235,6 @@ def test_mutated_line_loads_or_fails_naming_its_line(tmp_path, line):
     else:
         corpus_stats(corpus).to_json_dict()
         for instance in corpus.instances:
-            assert "/" not in instance.id and instance.id not in (".", "..")
             texts = [instance.id, instance.question, instance.inference_type or ""]
             texts += instance.options
             texts += [s for turn in instance.dialogue for s in (turn.speaker, turn.text)]

@@ -54,23 +54,17 @@ def test_empty_gold_rejected():
     assert err.value.field_name == "gold"
 
 
-@pytest.mark.parametrize("instance_id", ["a/b", "../escaped", "/abs", "..", ".", "nul\0"])
-def test_id_that_is_not_one_file_name_rejected(instance_id):
-    with pytest.raises(ValidationError, match="is not a single file name") as err:
-        validate_instance(raw_record(id=instance_id))
-    assert err.value.field_name == "id"
-
-
 @pytest.mark.parametrize(
     "instance_id",
-    ["b" * 251, "\u00e9" * 126, "\U0001f600" * 63],
-    ids=["251-bytes-1-byte", "252-bytes-2-byte", "252-bytes-4-byte"],
+    [
+        "a/b", "../escaped", "/abs", "..", ".", "nul\0",
+        pytest.param("b" * 300, id="300-bytes-1-byte"),
+        pytest.param("\U0001f600" * 75, id="300-bytes-4-byte"),
+    ],
 )
-def test_id_too_long_to_name_a_trace_file_rejected(instance_id):
-    # <id>.json must fit a 255-byte file name; the limit counts UTF-8 bytes.
-    with pytest.raises(ValidationError, match="is longer than 250 UTF-8 bytes") as err:
-        validate_instance(raw_record(id=instance_id))
-    assert err.value.field_name == "id"
+def test_id_that_is_not_one_file_name_accepted(instance_id):
+    # No output file is named after an id, so any non-empty UTF-8 text is one.
+    assert validate_instance(raw_record(id=instance_id)).id == instance_id
 
 
 @pytest.mark.parametrize(

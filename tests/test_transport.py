@@ -386,9 +386,10 @@ def test_reply_without_text_content_fails_only_its_instance(server, tmp_path, ca
     assert [(p["instance_id"], p["chosen"], p["fallback_used"]) for p in predictions] == [
         ("q1", [0], False), ("q2", [0, 1], True), ("q3", [1], False)
     ]
-    names = ["report.json", "report.txt", "by_gold_count.csv", "traces/q1.json",
-             "traces/q2.json", "traces/q3.json"]
+    names = ["report.json", "report.txt", "by_gold_count.csv", "traces.jsonl"]
     assert all((out / name).is_file() for name in names)
+    traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+    assert [t["instance_id"] for t in traces] == ["q1", "q2", "q3"]
     assert len(server.paths) == 3
 
 
@@ -414,8 +415,10 @@ def test_reply_with_malformed_usage_fails_only_its_instance_under_record(
     [failure] = [line for line in err if line.startswith("rexgot: instance")]
     assert failure.startswith("rexgot: instance q2: usage 'lots' is not an object or null")
     names = ["predictions.jsonl", "report.json", "report.txt", "by_gold_count.csv",
-             "traces/q1.json", "traces/q2.json", "traces/q3.json"]
+             "traces.jsonl"]
     assert all((out / name).is_file() for name in names)
+    traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+    assert [t["instance_id"] for t in traces] == ["q1", "q2", "q3"]
     [segment] = (cache_dir / SEGMENT_DIR).iterdir()
     assert segment.read_bytes().count(b"\n") == 2  # the malformed reply is not stored
 
